@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -301,11 +302,13 @@ def _run_local_wrapper(s, src, tgt, cavity, bath_labels, bath, g, phase_offset, 
     return optical_pump_r_to_1(s, src)
 
 
+@lru_cache(maxsize=32)
 def _beamsplitter_op(spec, cavity, link, eta) -> LinearOp:
     """Partial photon swap from a cavity into a link register.
 
     The occupied-occupied completion picks up a sign so the map stays
     unitary on the full hard-core space; no protocol ever populates it.
+    Built once per (spec, cavity, link, eta) and shared.
     """
     c = np.sqrt(1.0 - eta)
     s = np.sqrt(eta)
@@ -321,6 +324,7 @@ def _beamsplitter_op(spec, cavity, link, eta) -> LinearOp:
     return LinearOp.from_matrix(spec, (cavity, link), m)
 
 
+@lru_cache(maxsize=32)
 def _swap_op(spec, a, b) -> LinearOp:
     m = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex

@@ -14,11 +14,21 @@ keeps it on concurrently.
 Idealized local operations on single atoms (state exchanges, a 0-1 Hadamard,
 a phase flip, incoherent-free repumping of |r> into |1>) are provided as
 exact matrices; protocols treat them as free and noiseless.
+
+Heralded protocols replay the same pulse sequence on every trial, so each
+Hamiltonian, propagator and single-atom operator is built once per process
+and then reused. The caches are bounded ``lru_cache`` tables keyed on the
+hashable inputs that fully determine the object (spec, coupling, bath
+couplings and detunings, labels, duration), never on object identity or
+array contents. A cached object is exactly what a fresh build would
+return, and every state-level step and guard still runs on every use, so
+results are bit for bit those of an uncached run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,6 +208,7 @@ def _resolve_cavity(spec: SubsystemSpec, cavity) -> str:
     return cavities[0]
 
 
+@lru_cache(maxsize=128)
 def raman_hamiltonian(
     spec: SubsystemSpec, atom: str, coupling: RamanCoupling, cavity=None
 ) -> LinearOp:
@@ -207,7 +218,8 @@ def raman_hamiltonian(
     identity. The photon-absorbing element carries e^{+i phase}, so the
     emission amplitude |1, empty> -> |r, occupied> goes as e^{-i phase}.
     The detuning term acts whenever this drive is on, including on the
-    photon-free |r> configuration.
+    photon-free |r> configuration. Built once per (spec, atom, coupling,
+    cavity) and shared.
     """
     if spec.kind(atom) != "atom":
         raise ValueError(f"{atom!r} is not an atom")
@@ -217,7 +229,8 @@ def raman_hamiltonian(
     rows = [2 * LEVEL_1 + 0, 2 * LEVEL_R + 1, 2 * LEVEL_R + 0, 2 * LEVEL_R + 1]
     cols = [2 * LEVEL_R + 1, 2 * LEVEL_1 + 0, 2 * LEVEL_R + 0, 2 * LEVEL_R + 1]
     vals = [half, np.conj(half), coupling.detuning, coupling.detuning]
-    return LinearOp(spec, (atom, cavity), rows, cols, vals)
+    key = ("raman", spec, atom, coupling, cavity)
+    return LinearOp(spec, (atom, cavity), rows, cols, vals, key)
 
 
 def bath_hamiltonian(
@@ -227,18 +240,27 @@ def bath_hamiltonian(
 
     sum_k G_k (raise_k (x) lower_cav + h.c.) + sum_k Delta_k count_k.
     Both sides are hard-core, so a photon cannot leak into an occupied mode
-    and an excited mode cannot emit into an occupied cavity.
+    and an excited mode cannot emit into an occupied cavity. Built once per
+    (spec, couplings, detunings, cavity, labels) and shared; the thermal
+    occupation of the bath does not enter the Hamiltonian.
     """
     cavity = _resolve_cavity(spec, cavity)
     if bath_labels is None:
         bath_labels = [s.label for s in spec.subsystems if s.kind == "bathmode"]
-    bath_labels = tuple(bath_labels)
+    return _bath_hamiltonian(
+        spec, bath.couplings, bath.detunings, cavity, tuple(bath_labels)
+    )
+
+
+@lru_cache(maxsize=128)
+def _bath_hamiltonian(spec, couplings, detunings, cavity, bath_labels) -> LinearOp:
     for l in bath_labels:
         if spec.kind(l) != "bathmode":
             raise ValueError(f"{l!r} is not a bath mode")
-    if len(bath_labels) != bath.n_modes:
+    n_modes = len(couplings)
+    if len(bath_labels) != n_modes:
         raise ValueError(
-            f"bath has {bath.n_modes} modes but {len(bath_labels)} labels given"
+            f"bath has {n_modes} modes but {len(bath_labels)} labels given"
         )
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     raise_ = lower.T.conj()
@@ -255,13 +277,14 @@ def bath_hamiltonian(
             out = np.kron(out, m)
         return out
 
-    for k in range(bath.n_modes):
-        mats = [lower] + [raise_ if j == k else eye for j in range(bath.n_modes)]
-        term = bath.couplings[k] * chain(mats)
+    for k in range(n_modes):
+        mats = [lower] + [raise_ if j == k else eye for j in range(n_modes)]
+        term = couplings[k] * chain(mats)
         h += term + term.T.conj()
-        mats = [eye] + [count if j == k else eye for j in range(bath.n_modes)]
-        h += bath.detunings[k] * chain(mats)
-    return LinearOp.from_matrix(spec, support, h)
+        mats = [eye] + [count if j == k else eye for j in range(n_modes)]
+        h += detunings[k] * chain(mats)
+    key = ("bath", spec, couplings, detunings, cavity, bath_labels)
+    return LinearOp.from_matrix(spec, support, h, key)
 
 
 def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> LinearOp:
@@ -274,9 +297,43 @@ def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> L
     return LinearOp.from_matrix(spec, hamiltonian.support, u)
 
 
+class _ByRecipe:
+    """Hashable stand-in for a keyed operator, equal when the keys are.
+
+    It lets the propagator cache key on the recipe that built a
+    Hamiltonian rather than on the operator object.
+    """
+
+    __slots__ = ("op",)
+
+    def __init__(self, op: LinearOp):
+        self.op = op
+
+    def __hash__(self):
+        return hash(self.op.key)
+
+    def __eq__(self, other):
+        return self.op.key == other.op.key
+
+
+@lru_cache(maxsize=256)
+def _cached_propagator(spec, recipe: _ByRecipe, duration) -> LinearOp:
+    return propagator(spec, recipe.op, duration)
+
+
 def evolve(state: StateVector, hamiltonian: LinearOp, duration: float) -> StateVector:
-    """Evolve a state under a time-independent Hamiltonian."""
-    return apply(propagator(state.spec, hamiltonian, duration), state)
+    """Evolve a state under a time-independent Hamiltonian.
+
+    The propagator of a Hamiltonian built by `raman_hamiltonian`,
+    `bath_hamiltonian` or `op_sum` of them is diagonalized once per
+    (spec, Hamiltonian recipe, duration) and reused; a hand-built operator
+    has no recipe to key on and is diagonalized on every call.
+    """
+    if hamiltonian.key is None:
+        u = propagator(state.spec, hamiltonian, duration)
+    else:
+        u = _cached_propagator(state.spec, _ByRecipe(hamiltonian), duration)
+    return apply(u, state)
 
 
 def run_pulses(
@@ -322,15 +379,15 @@ _SINGLE_ATOM_MATRICES = {
     "phase_z": np.diag([1.0, -1.0, 1.0]).astype(complex),
 }
 
-SINGLE_ATOM_OPS = tuple(sorted(_SINGLE_ATOM_MATRICES)) + ("optical_pump_r_to_1",)
 
-
+@lru_cache(maxsize=128)
 def single_atom_operator(spec: SubsystemSpec, atom: str, name: str) -> LinearOp:
     """Named idealized local unitary on one atom, as an operator.
 
     exchange_1r swaps |1> and |r> with a minus sign on both, exchange_0r
     swaps |0> and |r> with no sign, not_01 and hadamard_01 act on the 0-1
-    qubit and leave |r> alone, phase_z flips the sign of |1>.
+    qubit and leave |r> alone, phase_z flips the sign of |1>. Built once
+    per (spec, atom, name) and shared.
     """
     if spec.kind(atom) != "atom":
         raise ValueError(f"{atom!r} is not an atom")

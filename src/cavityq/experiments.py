@@ -104,24 +104,27 @@ class ExperimentConfig:
         if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
             raise ValueError("max_attempts must be a positive integer")
         allowed = _PARAM_KEYS[self.protocol]
-        unknown = set(self.protocol_params) - set(allowed)
+        params = dict(self.protocol_params)
+        unknown = set(params) - set(allowed)
         if unknown:
             raise ValueError(
                 f"unknown protocol_params for {self.protocol}: "
                 f"{sorted(unknown)}"
             )
-        if "amps" in self.protocol_params:
+        if "amps" in params:
             want = 2 if self.protocol == "joint_measure" else 4
-            amps = tuple(complex(a) for a in self.protocol_params["amps"])
+            amps = tuple(complex(a) for a in params["amps"])
             if len(amps) != want:
                 raise ValueError(f"amps must hold {want} amplitudes")
-            self.protocol_params["amps"] = amps
+            params["amps"] = amps
         for key in ("durations", "start_times"):
-            if key in self.protocol_params:
-                pair = tuple(float(v) for v in self.protocol_params[key])
+            if key in params:
+                pair = tuple(float(v) for v in params[key])
                 if len(pair) != 2:
                     raise ValueError(f"{key} must hold two values")
-                self.protocol_params[key] = pair
+                params[key] = pair
+        # a normalized copy: the caller's dict is never written
+        object.__setattr__(self, "protocol_params", params)
         if self.sweep is not None:
             name, values = self.sweep
             if name not in SWEEP_PARAMETERS:
@@ -321,10 +324,7 @@ def sweep_point(cfg: ExperimentConfig, value) -> ExperimentConfig:
         raise ValueError("config has no sweep axis")
     name = cfg.sweep[0]
     return replace(
-        cfg,
-        noise=replace(cfg.noise, **{name: float(value)}),
-        protocol_params=dict(cfg.protocol_params),
-        sweep=None,
+        cfg, noise=replace(cfg.noise, **{name: float(value)}), sweep=None
     )
 
 

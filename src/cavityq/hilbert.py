@@ -20,10 +20,6 @@ import scipy.sparse as sp
 
 # Exactness assertions (unitarity, golden amplitudes, conservation laws).
 TOL_EXACT = 1e-12
-# Post-selection purity bounds (conditional fidelities of heralded branches).
-TOL_PURITY = 1e-9
-# Cross checks between the analytic and explicit-bath backends.
-TOL_CROSS = 1e-10
 # Hard cap on the total product dimension: this is a desk-scale simulator.
 DIM_CAP = 65536
 
@@ -84,16 +80,20 @@ class SubsystemSpec:
                 label, kind = e
                 subs.append(Subsystem(label, kind))
         self._subs = tuple(subs)
-        labels = [s.label for s in self._subs]
-        if len(set(labels)) != len(labels):
+        self._labels = tuple(s.label for s in self._subs)
+        if len(set(self._labels)) != len(self._labels):
             raise ValueError("duplicate subsystem labels")
-        self._axis = {s.label: i for i, s in enumerate(self._subs)}
+        self._dims = tuple(s.dim for s in self._subs)
+        self._axis = {label: i for i, label in enumerate(self._labels)}
         total = 1
-        for s in self._subs:
-            total *= s.dim
+        for d in self._dims:
+            total *= d
         if total > cap:
             raise ValueError(f"total dimension {total} exceeds cap {cap}")
         self._total = total
+        # (label, kind) pairs decide equality; specs key every operator cache
+        self._key = tuple((s.label, s.kind) for s in self._subs)
+        self._hash = hash(self._key)
 
     @property
     def subsystems(self) -> tuple[Subsystem, ...]:
@@ -101,11 +101,11 @@ class SubsystemSpec:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self._subs)
+        return self._labels
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self._subs)
+        return self._dims
 
     @property
     def total_dim(self) -> int:
@@ -125,15 +125,12 @@ class SubsystemSpec:
         return self._subs[self.axis(label)].dim
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubsystemSpec)
-            and self.labels == other.labels
-            and tuple(s.kind for s in self._subs)
-            == tuple(s.kind for s in other._subs)
+        return self is other or (
+            isinstance(other, SubsystemSpec) and self._key == other._key
         )
 
     def __hash__(self):
-        return hash(tuple((s.label, s.kind) for s in self._subs))
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(f"{s.label}:{s.kind}" for s in self._subs)
@@ -222,10 +219,17 @@ class LinearOp:
 
     The matrix indices run over the support labels' dimensions in the listed
     order, row-major. Stored sparsely as (row, col, value) triples.
+
+    ``key`` is an optional hashable recipe that fully determines the
+    operator, such as a Hamiltonian constructor's arguments. Operators
+    with equal keys are interchangeable, which is what lets
+    `cavityq.dynamics` build each propagator once per process. Operators
+    are shared once cached, so nothing may change one in place.
     """
 
-    def __init__(self, spec, support, rows, cols, values):
+    def __init__(self, spec, support, rows, cols, values, key=None):
         self.spec = spec
+        self.key = key
         self.support = tuple(support)
         if len(set(self.support)) != len(self.support):
             raise ValueError("duplicate support labels")
@@ -241,10 +245,10 @@ class LinearOp:
         self._mat = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
 
     @classmethod
-    def from_matrix(cls, spec, support, matrix) -> "LinearOp":
+    def from_matrix(cls, spec, support, matrix, key=None) -> "LinearOp":
         m = np.asarray(matrix, dtype=np.complex128)
         rows, cols = np.nonzero(m)
-        return cls(spec, support, rows, cols, m[rows, cols])
+        return cls(spec, support, rows, cols, m[rows, cols], key)
 
     def dense(self) -> np.ndarray:
         return self._mat.toarray()
@@ -315,6 +319,9 @@ def op_sum(ops) -> LinearOp:
     for op in ops:
         e = op.embedded(tuple(union))
         total = e if total is None else total + e
+    keys = tuple(op.key for op in ops)
+    if len(ops) > 1 and None not in keys:
+        total.key = ("sum",) + keys
     return total
 
 

@@ -21,6 +21,7 @@ exhaustive branch enumeration.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,6 +209,18 @@ def joint_measure_00(state, pair, herald, channel, chooser, *, slots=(0, 1), tag
     return JointMeasureOutcome(ok=(idx == 1), herald=idx, state=post)
 
 
+@lru_cache(maxsize=8)
+def _jm_channel(noise: NoiseConfig, g, dwell):
+    """The joint measurement's local channel, built once per configuration."""
+    if noise.backend == "analytic":
+        return make_local_channel(
+            noise, flag_labels=("fl0", "fl1"), g=g, dwell=dwell
+        )
+    return make_local_channel(
+        noise, cavity="cav", bath_labels=(("b0",), ("b1",)), g=g, dwell=dwell
+    )
+
+
 def run_joint_measure(
     noise: NoiseConfig,
     chooser,
@@ -228,19 +241,13 @@ def run_joint_measure(
         raise ValueError("joint measurement input has zero norm")
     a, b = a / scale, b / scale
     atoms = [("q1", "atom"), ("q2", "atom"), ("herald", "atom")]
+    channel = _jm_channel(noise, g, dwell)
     if noise.backend == "analytic":
         spec = SubsystemSpec(
             atoms + [("fl0", "bathmode"), ("fl1", "bathmode")]
         )
-        channel = make_local_channel(
-            noise, flag_labels=("fl0", "fl1"), g=g, dwell=dwell
-        )
         env = {"fl0": 0, "fl1": 0}
     else:
-        channel = make_local_channel(
-            noise, cavity="cav", bath_labels=(("b0",), ("b1",)),
-            g=g, dwell=dwell,
-        )
         spec = SubsystemSpec(
             atoms + [("cav", "cavity"), ("b0", "bathmode"), ("b1", "bathmode")]
         )

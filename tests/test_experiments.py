@@ -58,6 +58,16 @@ class TestExperimentConfig:
         )
         assert cfg.protocol_params["amps"] == (1 + 0j, 0j, 0j, 1 + 0j)
 
+    def test_caller_params_left_untouched(self):
+        params = {"amps": [0.6, 0.8]}
+        cfg = ExperimentConfig(protocol="joint_measure", protocol_params=params)
+        assert params == {"amps": [0.6, 0.8]}
+        assert cfg.protocol_params["amps"] == (0.6 + 0j, 0.8 + 0j)
+        timing = {"durations": [1, 2], "start_times": [0, 3]}
+        cfg = ExperimentConfig(protocol="stationarity_scan", protocol_params=timing)
+        assert timing == {"durations": [1, 2], "start_times": [0, 3]}
+        assert cfg.protocol_params["start_times"] == (0.0, 3.0)
+
     def test_sweep_validation(self):
         with pytest.raises(ValueError, match="sweep parameter"):
             ExperimentConfig(protocol="epr", sweep=("trials", (1, 2)))

@@ -50,6 +50,15 @@ class TestSpec:
         assert spec.axis("c") == 1
         assert spec.kind("b") == "bathmode"
 
+    def test_equality_and_hash_follow_labels_and_kinds(self):
+        # specs key every operator cache, so equal specs must hash equal
+        entries = [("a", "atom"), ("c", "cavity")]
+        spec, twin = SubsystemSpec(entries), SubsystemSpec(entries, cap=10**6)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec != SubsystemSpec([("a", "atom"), ("c", "bathmode")])
+        assert spec != SubsystemSpec(entries[::-1])
+        assert spec.labels == ("a", "c")
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SubsystemSpec([("a", "atom"), ("a", "cavity")])

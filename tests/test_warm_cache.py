@@ -1,0 +1,127 @@
+"""Warm caches change no result.
+
+Hamiltonians, propagators, single-atom, beamsplitter and swap operators,
+and channels are built once per process and shared. The byte-stability
+tests in ``test_cli.py`` start a fresh process per run and so only meet
+cold caches; these run in one process, so each config meets caches that
+other configs filled, and every result is compared with a run made after
+clearing every cache.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cavityq import channels, cli, dynamics, experiments, hilbert, protocols
+from cavityq.channels import NoiseConfig
+from cavityq.dynamics import BathSpec
+from cavityq.experiments import ExperimentConfig, run_trials
+from cavityq.protocols import (
+    SampleChooser,
+    establish_epr,
+    run_gate,
+    run_joint_measure,
+)
+
+BASE = NoiseConfig(backend="bath", eta_local=0.05, eta_trans=0.2)
+# each variant differs from BASE in one field
+VARIANTS = (
+    BASE,
+    replace(BASE, eta_local=0.1),
+    replace(BASE, eta_trans=0.3),
+    replace(BASE, phase_offset=0.4),
+    replace(BASE, p_therm=0.05),
+    replace(BASE, bath=BathSpec((0.2,), (0.5,))),
+)
+AMPS = {"joint_measure": (0.6, 0.8), "gate_purified": (0.5, 0.5, 0.5, 0.5)}
+
+
+def clear_caches():
+    """Empty every lru_cache table in the package; returns how many."""
+    cleared = 0
+    for mod in (hilbert, dynamics, channels, protocols, experiments, cli):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+                cleared += 1
+    return cleared
+
+
+def config(protocol, noise):
+    params = {"amps": AMPS[protocol]} if protocol in AMPS else {}
+    return ExperimentConfig(
+        protocol, noise, trials=3, seed=5, max_attempts=4, protocol_params=params
+    )
+
+
+@pytest.mark.parametrize("protocol", ["joint_measure", "epr", "gate_purified"])
+def test_interleaved_bath_configs_match_cold_runs(protocol):
+    # the scan must reach every table, or "cold" would not be cold
+    assert clear_caches() >= 8
+    cold = []
+    for noise in VARIANTS:
+        clear_caches()
+        cold.append(run_trials(config(protocol, noise)))
+    clear_caches()
+    # two warm passes in opposite orders, so each config runs after the
+    # others have filled the caches
+    order = list(range(len(VARIANTS)))
+    for k in order + order[::-1]:
+        assert run_trials(config(protocol, VARIANTS[k])) == cold[k], VARIANTS[k]
+
+
+def _direct_run(kind, noise, g, dwell):
+    """One protocol run at an explicit pulse rate and dwell, fully recorded."""
+    chooser = SampleChooser(np.random.default_rng(11))
+    if kind == "joint_measure":
+        out = run_joint_measure(noise, chooser, g=g, dwell=dwell)
+        record = (out.ok, out.fidelity, out.state)
+    elif kind == "epr":
+        out = establish_epr(noise, chooser, max_attempts=3, g=g, dwell=dwell)
+        record = (out.success, out.attempts, out.fidelity, out.state)
+    else:
+        out = run_gate(noise, chooser, amps=AMPS["gate_purified"], g=g, dwell=dwell)
+        record = (out.ok, out.failed_checkpoint, out.fidelity, out.state)
+    *fields, state = record
+    amps = None if state is None else state.amplitudes.tobytes()
+    return tuple(fields), amps, tuple(chooser.trace)
+
+
+def test_final_states_and_g_dwell_interleaved():
+    # run_trials drops the final state; compare its amplitudes bit for bit,
+    # over the noise variants and over the pulse rate and dwell
+    kinds = ("joint_measure", "epr", "gate_purified")
+    runs = [(kind, noise, 1.0, 1.0) for kind in kinds for noise in VARIANTS]
+    runs += [
+        (kind, BASE, g, dwell)
+        for kind in kinds
+        for g, dwell in ((1.3, 1.0), (1.0, 0.7))
+    ]
+    cold = []
+    for run in runs:
+        clear_caches()
+        cold.append(_direct_run(*run))
+    clear_caches()
+    order = list(range(len(runs)))
+    for k in order + order[::-1]:
+        assert _direct_run(*runs[k]) == cold[k], runs[k]
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["jm_eta05_bath", "epr_lossy_bath", "gate_eta05_bath", "epr_therm10"],
+)
+def test_cli_reports_identical_cold_and_warm(preset, tmp_path):
+    def run(out, name=preset):
+        argv = ["run", "--config", name, "--trials", "5", "--out", str(out)]
+        assert cli.main(argv) == 0
+
+    clear_caches()
+    run(tmp_path / "cold")
+    for other in ("jm_eta20_bath", "gate_eta05_bath", "epr_lossy_bath"):
+        run(tmp_path / other, other)
+    run(tmp_path / "warm")
+    for name in ("report.json", "trials.csv"):
+        cold = (tmp_path / "cold" / name).read_bytes()
+        assert (tmp_path / "warm" / name).read_bytes() == cold, name
