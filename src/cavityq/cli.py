@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -89,6 +90,12 @@ def _as_int(value, name) -> int:
     return value
 
 
+def _as_list(value, name):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list")
+    return value
+
+
 def _as_amp(value) -> complex:
     """An amplitude is a real number or a [real, imaginary] pair."""
     if isinstance(value, (list, tuple)):
@@ -124,10 +131,11 @@ def _parse_noise(doc) -> NoiseConfig:
         _reject_unknown(bath, {"couplings", "detunings"}, "bath")
         if "couplings" not in bath or "detunings" not in bath:
             raise ValueError("bath needs couplings and detunings")
-        kwargs["bath"] = BathSpec(
-            tuple(_as_number(v, "couplings") for v in bath["couplings"]),
-            tuple(_as_number(v, "detunings") for v in bath["detunings"]),
+        couplings, detunings = (
+            tuple(_as_number(v, key) for v in _as_list(bath[key], key))
+            for key in ("couplings", "detunings")
         )
+        kwargs["bath"] = BathSpec(couplings, detunings)
     return NoiseConfig(**kwargs)
 
 
@@ -154,7 +162,7 @@ def parse_config(doc) -> ExperimentConfig:
     parsed = {}
     for key, value in params.items():
         if key == "amps":
-            parsed[key] = tuple(_as_amp(v) for v in value)
+            parsed[key] = tuple(_as_amp(v) for v in _as_list(value, key))
         else:
             parsed[key] = value
     kwargs["protocol_params"] = parsed
@@ -165,7 +173,8 @@ def parse_config(doc) -> ExperimentConfig:
         _reject_unknown(sweep, {"parameter", "values"}, "sweep")
         if "parameter" not in sweep or "values" not in sweep:
             raise ValueError("sweep needs parameter and values")
-        kwargs["sweep"] = (sweep["parameter"], tuple(sweep["values"]))
+        values = _as_list(sweep["values"], "sweep values")
+        kwargs["sweep"] = (sweep["parameter"], tuple(values))
     return ExperimentConfig(**kwargs)
 
 
@@ -293,11 +302,24 @@ def _outcome_cell(outcomes) -> str:
     return "|".join(f"{name}={index}" for name, index in outcomes)
 
 
+@lru_cache(maxsize=1)
+def _report_validator():
+    """The report schema's validator, checked and built once per process."""
+    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def write_run_outputs(outdir: Path, cfg, stats, results):
     """Write report.json and trials.csv; validates the report first."""
     report = build_report(cfg, stats)
-    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
-    jsonschema.validate(report, schema)
+    # the error jsonschema.validate would raise for this report
+    error = jsonschema.exceptions.best_match(
+        _report_validator().iter_errors(report)
+    )
+    if error is not None:
+        raise error
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(
         dump_json(report) + "\n", encoding="utf-8"

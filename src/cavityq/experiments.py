@@ -1,9 +1,13 @@
 """Trial running, exact branch enumeration, statistics, and sweeps.
 
-Every protocol routes its branch decisions through a chooser, so the same
-code runs two ways: Monte Carlo sampling with per-trial seeded streams,
-and an exhaustive walk of the branch tree with exact weights. The second
-is the oracle for the first; tests hold them against each other.
+Every protocol routes its branch decisions through a chooser, so a run is
+a deterministic function of its choices. Monte Carlo sampling with
+per-trial seeded streams and the exhaustive walk of the branch tree with
+exact weights both walk a lazily filled branch trie, one per call: a run
+of the protocol stores the path it took, and later trials and leaves
+reuse it. Since both share the trie, tests hold them against independent
+references instead of each other: closed-form laws (the truncated
+geometric attempt law, the loss scalars) and a direct per-trial replay.
 """
 
 import math
@@ -11,6 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +27,10 @@ from .protocols import (
     ScriptedChooser,
     SampleChooser,
     WEIGHT_FLOOR,
-    run_epr,
+    _normalized,
+    epr_attempt,
     run_gate,
     run_joint_measure,
-    trace_probability,
 )
 
 PROTOCOLS = (
@@ -56,7 +61,7 @@ _PARAM_KEYS = {
 
 DEFAULT_GATE_AMPS = (0.5, 0.5, 0.5, 0.5)
 
-# enumeration refuses trees past this many branch-tree runs
+# enumeration refuses trees with more leaves than this
 MAX_BRANCHES = 10**6
 
 _HALF = 1.0 / np.sqrt(2.0)
@@ -73,6 +78,14 @@ PROBE_AMPS = (
     (0.5, 0.5, 0.5, 0.5),
     (_HALF, 0.0, 0.0, _HALF),
 )
+
+
+def _converted(kind, values, name) -> tuple:
+    """``values`` as a tuple of ``kind``; ValueError if they are not."""
+    try:
+        return tuple(kind(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -113,13 +126,13 @@ class ExperimentConfig:
             )
         if "amps" in params:
             want = 2 if self.protocol == "joint_measure" else 4
-            amps = tuple(complex(a) for a in params["amps"])
+            amps = _converted(complex, params["amps"], "amps")
             if len(amps) != want:
                 raise ValueError(f"amps must hold {want} amplitudes")
             params["amps"] = amps
         for key in ("durations", "start_times"):
             if key in params:
-                pair = tuple(float(v) for v in params[key])
+                pair = _converted(float, params[key], key)
                 if len(pair) != 2:
                     raise ValueError(f"{key} must hold two values")
                 params[key] = pair
@@ -131,7 +144,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"sweep parameter must be one of {SWEEP_PARAMETERS}"
                 )
-            values = tuple(float(v) for v in values)
+            values = _converted(float, values, "sweep values")
             if not values:
                 raise ValueError("sweep grid is empty")
             for v in values:
@@ -214,31 +227,186 @@ def _epr_circuit(noise: NoiseConfig) -> EprCircuit:
     return EprCircuit(noise)
 
 
-def _run_full(cfg: ExperimentConfig, chooser):
-    """One protocol run; returns (success, attempts, fidelity, state)."""
+def _run_unit(cfg: ExperimentConfig, chooser, k):
+    """Unit ``k`` of one protocol run; returns (ok, fidelity, state).
+
+    The entanglement link's unit is attempt ``k``; every other protocol
+    runs as a single unit.
+    """
     p = cfg.protocol
+    if p == "epr":
+        res = epr_attempt(_epr_circuit(cfg.noise), chooser, k)
+        return res.success, res.fidelity, res.state
     if p == "joint_measure":
         amps = cfg.protocol_params.get("amps", DEFAULT_JM_AMPS)
         out = run_joint_measure(cfg.noise, chooser, amps=amps)
-        return out.ok, 1, out.fidelity, out.state
-    if p == "epr":
-        res = run_epr(_epr_circuit(cfg.noise), chooser, cfg.max_attempts)
-        return res.success, res.attempts, res.fidelity, res.state
+        return out.ok, out.fidelity, out.state
     amps = cfg.protocol_params.get("amps", DEFAULT_GATE_AMPS)
     rec = run_gate(
         cfg.noise, chooser, amps=amps, purified=(p == "gate_purified")
     )
-    return rec.ok, 1, rec.fidelity, rec.state
+    return rec.ok, rec.fidelity, rec.state
 
 
-def _run_single(cfg: ExperimentConfig, trial: int) -> TrialResult:
+class _Leaf(NamedTuple):
+    ok: bool
+    fidelity: float | None
+    state: object | None
+
+
+class _Node:
+    """One choice point of the trie: its name, the raw weights it offered,
+    their normalisation, and one child slot per branch."""
+
+    __slots__ = ("name", "weights", "p", "children")
+
+    def __init__(self, name, weights):
+        self.name = name
+        self.weights = weights
+        self.p = _normalized(weights)
+        self.children = [None] * len(weights)
+
+
+class _BranchTrie:
+    """The branch tree of one protocol, filled lazily for one call.
+
+    Inner nodes hold a choice's name, less the unit's tag, and its raw
+    weights; leaves hold the unit's outcome. An empty slot is filled by
+    running the unit from its root along the slot's path, which stores
+    every choice point of that run. The entanglement link's unit is one
+    attempt: attempts are independent and identically distributed, so one
+    attempt subtree serves them all and its failure leaves lead into the
+    next attempt. States are kept only on request, for enumeration.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, keep_states=False):
+        self.cfg = cfg
+        self.keep_states = keep_states
+        self.epr = cfg.protocol == "epr"
+        self.repeats = cfg.max_attempts if self.epr else 1
+        self.top = [None]  # the single slot that holds the root
+
+    def tag(self, k) -> str:
+        return f"try{k}" if self.epr else ""
+
+    def expand(self, chooser, k) -> _Leaf:
+        """Run unit ``k`` through ``chooser`` and store the path it took."""
+        ok, fid, state = _run_unit(self.cfg, chooser, k)
+        leaf = _Leaf(ok, fid, state if self.keep_states else None)
+        cut = len(self.tag(k))
+        children, idx = self.top, 0
+        for point in chooser.trace:
+            node = children[idx]
+            name = point.name[cut:]
+            if node is None:
+                node = children[idx] = _Node(name, point.weights)
+            elif not (
+                isinstance(node, _Node)
+                and node.name == name
+                and node.weights == point.weights
+            ):
+                raise AssertionError(f"a rerun diverged at {point.name!r}")
+            children, idx = node.children, point.index
+        children[idx] = leaf
+        return leaf
+
+    def sample(self, rng) -> TrialResult:
+        """One trial, drawing from ``rng`` exactly as a direct run would.
+
+        Stored nodes make the same ``rng.choice`` call on the same
+        normalised weights that the run's chooser would make; a known leaf
+        ends the unit without running it, and an empty slot reruns the
+        unit along the drawn prefix and samples the rest.
+        """
+        outcomes = []
+        for k in range(1, self.repeats + 1):
+            tag = self.tag(k)
+            node, path = self.top[0], []
+            while isinstance(node, _Node):
+                idx = int(rng.choice(len(node.p), p=node.p))
+                path.append(idx)
+                outcomes.append((tag + node.name, idx))
+                node = node.children[idx]
+            if node is None:
+                chooser = SampleChooser(rng, script=path)
+                node = self.expand(chooser, k)
+                outcomes.extend(
+                    (pt.name, pt.index) for pt in chooser.trace[len(path):]
+                )
+            if node.ok:
+                return TrialResult(True, k, node.fidelity, outcomes)
+        return TrialResult(False, self.repeats, 0.0, outcomes)
+
+    def leaves(self, max_branches):
+        """Every leaf of the full run with its exact weight, depth first.
+
+        At each choice the heaviest branch comes first, then the others
+        above the weight floor in descending index. A leaf's weight is the
+        left-to-right product, from 1.0, of the normalised weights of the
+        branches on its path.
+        """
+        records = []
+        # (slot list, slot index, attempt, weight, outcomes, path in unit)
+        stack = [(self.top, 0, 1, 1.0, (), ())]
+        while stack:
+            children, idx, k, weight, outcomes, path = stack.pop()
+            node = children[idx]
+            if node is None:
+                self.expand(ScriptedChooser(path), k)
+                node = children[idx]
+            if isinstance(node, _Node):
+                name = self.tag(k) + node.name
+                p = node.p
+                first = int(np.argmax(p))
+                rest = [
+                    j
+                    for j in range(len(p))
+                    if j != first and p[j] > WEIGHT_FLOOR
+                ]
+                # popped heaviest first, then the rest in descending index
+                for j in rest + [first]:
+                    stack.append(
+                        (
+                            node.children,
+                            j,
+                            k,
+                            weight * float(p[j]),
+                            outcomes + ((name, j),),
+                            path + (j,),
+                        )
+                    )
+            elif not node.ok and k < self.repeats:
+                stack.append((self.top, 0, k + 1, weight, outcomes, ()))
+            else:
+                if len(records) >= max_branches:
+                    raise ValueError(
+                        f"more than {max_branches} branches; "
+                        "sample with run_trials instead"
+                    )
+                records.append(
+                    BranchRecord(
+                        weight=weight,
+                        success=node.ok,
+                        attempts=k,
+                        fidelity=node.fidelity,
+                        outcomes=outcomes,
+                        state=node.state,
+                    )
+                )
+        return tuple(records)
+
+
+def _trial_rng(cfg: ExperimentConfig, trial: int):
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,))
-    chooser = SampleChooser(np.random.default_rng(seq))
+    return np.random.default_rng(seq)
+
+
+def _run_share(cfg: ExperimentConfig, trials: range) -> tuple:
+    """The given trials of ``cfg``, sampled through one branch trie."""
     if cfg.protocol == "stationarity_scan":
-        return TrialResult(True, 1, 1.0, ())
-    success, attempts, fid, _ = _run_full(cfg, chooser)
-    outcomes = tuple((pt.name, pt.index) for pt in chooser.trace)
-    return TrialResult(success, attempts, fid if success else 0.0, outcomes)
+        return tuple(TrialResult(True, 1, 1.0, ()) for _ in trials)
+    trie = _BranchTrie(cfg)
+    return tuple(trie.sample(_trial_rng(cfg, t)) for t in trials)
 
 
 def _scan_deviation(cfg: ExperimentConfig) -> float:
@@ -284,19 +452,23 @@ def run_trials(cfg: ExperimentConfig, jobs=None):
 
     Each trial samples from its own counter-derived stream, so the result
     list is a pure function of (cfg, seed) no matter how many worker
-    processes share the load.
+    processes share the load. Each worker samples its contiguous share of
+    the trials through a branch trie of its own.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be a positive integer")
-    worker = partial(_run_single, cfg)
-    if jobs is None or jobs == 1 or cfg.trials == 1:
-        results = tuple(worker(t) for t in range(cfg.trials))
+    n = cfg.trials
+    if jobs is None or jobs == 1 or n == 1:
+        results = _run_share(cfg, range(n))
     else:
-        chunk = max(1, cfg.trials // (4 * jobs))
+        shares = min(jobs, n)
+        bounds = [n * i // shares for i in range(shares + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(
-                pool.map(worker, range(cfg.trials), chunksize=chunk)
+            parts = pool.map(
+                partial(_run_share, cfg),
+                [range(a, b) for a, b in zip(bounds, bounds[1:])],
             )
+            results = tuple(r for part in parts for r in part)
     deviation = None
     if cfg.protocol == "stationarity_scan":
         deviation = _scan_deviation(cfg)
@@ -329,61 +501,29 @@ def sweep_point(cfg: ExperimentConfig, value) -> ExperimentConfig:
 
 
 def enumerate_branches(cfg: ExperimentConfig, max_branches=MAX_BRANCHES):
-    """Walk every measurement branch of the protocol with exact weights.
+    """Every leaf of the protocol's branch tree, with exact weights.
 
-    Runs the protocol deterministically once per leaf: a scripted chooser
-    pins the path up to the script's end and rides the heaviest branch
-    beyond it, and every sibling above the weight floor is scheduled with
-    its own extended script. Leaf weights are the products of conditional
-    branch weights and sum to one.
-
-    For the entanglement protocol the walk covers the whole
-    repeat-until-success process up to ``cfg.max_attempts``; attempts are
-    independent, so per-attempt questions are best asked of a
-    ``max_attempts=1`` config plus :func:`attempt_statistics`.
+    The tree is walked depth first, heaviest branch first, through a
+    branch trie built for this call: the protocol runs once per distinct
+    leaf of its unit, never once per leaf of the whole tree. For the
+    entanglement link the unit is one attempt, so the walk covers the
+    whole repeat-until-success process up to ``cfg.max_attempts`` at the
+    cost of one attempt's leaves, and every attempt's leaves share one
+    set of state and fidelity objects. Leaf weights are products
+    of conditional branch weights and sum to one. Trees with more than
+    ``max_branches`` leaves are refused.
     """
     if cfg.protocol == "stationarity_scan":
         raise ValueError(
             "stationarity_scan has no measurement branches; use run_trials"
         )
-    pending = [()]
-    records = []
-    runs = 0
-    while pending:
-        script = pending.pop()
-        if runs >= max_branches:
-            raise ValueError(
-                f"more than {max_branches} branches; "
-                "sample with run_trials instead"
-            )
-        runs += 1
-        chooser = ScriptedChooser(script)
-        success, attempts, fid, state = _run_full(cfg, chooser)
-        trace = chooser.trace
-        for depth in range(len(script), len(trace)):
-            point = trace[depth]
-            w = np.clip(np.asarray(point.weights, dtype=float), 0.0, None)
-            w = w / w.sum()
-            prefix = tuple(pt.index for pt in trace[:depth])
-            for j in range(len(w)):
-                if j != point.index and w[j] > WEIGHT_FLOOR:
-                    pending.append(prefix + (j,))
-        records.append(
-            BranchRecord(
-                weight=trace_probability(trace),
-                success=success,
-                attempts=attempts,
-                fidelity=fid,
-                outcomes=tuple((pt.name, pt.index) for pt in trace),
-                state=state,
-            )
-        )
+    records = _BranchTrie(cfg, keep_states=True).leaves(max_branches)
     total = sum(r.weight for r in records)
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(
             f"enumerated branch weights sum to {total!r}, not 1"
         )
-    return tuple(records)
+    return records
 
 
 def estimate_process_fidelity(

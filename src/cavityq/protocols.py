@@ -84,15 +84,25 @@ def _normalized(weights):
 
 
 class SampleChooser:
-    """Resolves branch points by sampling from an rng stream."""
+    """Follows a branch script, then samples from an rng stream.
 
-    def __init__(self, rng):
+    The script holds choices already drawn from the same stream, so
+    following it leaves the stream untouched: a run resumed along a drawn
+    prefix consumes the stream exactly as an uninterrupted run would.
+    """
+
+    def __init__(self, rng, script=()):
         self.rng = rng
+        self.script = tuple(script)
         self.trace = []
 
     def choose(self, name, weights) -> int:
         p = _normalized(weights)
-        idx = int(self.rng.choice(len(p), p=p))
+        depth = len(self.trace)
+        if depth < len(self.script):
+            idx = self.script[depth]
+        else:
+            idx = int(self.rng.choice(len(p), p=p))
         self.trace.append(ChoicePoint(name, idx, tuple(map(float, weights))))
         return idx
 
@@ -100,9 +110,8 @@ class SampleChooser:
 class ScriptedChooser:
     """Follows a branch script, then rides the heaviest branch.
 
-    The trace records every decision with its weights, which is what a
-    breadth-limited enumerator needs to schedule the sibling branches it
-    has not visited yet.
+    The trace records every decision with its weights, which is what an
+    enumerator needs to store the choice points the run passed through.
     """
 
     def __init__(self, script=()):
@@ -427,12 +436,26 @@ def establish_epr(
     return run_epr(circuit, chooser, max_attempts)
 
 
+def epr_attempt(circuit: EprCircuit, chooser, k) -> EprResult:
+    """Attempt ``k`` of the link, fixed up when it heralds.
+
+    Attempts are independent and identically distributed: attempt ``k``
+    differs from the first only in the ``try{k}`` tag that prefixes every
+    choice name it makes.
+    """
+    tag = f"try{k}"
+    out = circuit.attempt(chooser, tag=tag)
+    if not out.ok:
+        return EprResult(False, k, None, None)
+    s = circuit.finish(out.state, chooser, tag=tag)
+    return EprResult(True, k, s, circuit.bell_fidelity(s))
+
+
 def run_epr(circuit: EprCircuit, chooser, max_attempts) -> EprResult:
     for k in range(1, max_attempts + 1):
-        out = circuit.attempt(chooser, tag=f"try{k}")
-        if out.ok:
-            s = circuit.finish(out.state, chooser, tag=f"try{k}")
-            return EprResult(True, k, s, circuit.bell_fidelity(s))
+        res = epr_attempt(circuit, chooser, k)
+        if res.success:
+            return res
     return EprResult(False, max_attempts, None, None)
 
 

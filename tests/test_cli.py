@@ -9,6 +9,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import jsonschema
 import pytest
@@ -19,8 +20,9 @@ from cavityq.cli import (
     dump_json,
     load_config,
     parse_config,
+    write_run_outputs,
 )
-from cavityq.experiments import ExperimentConfig
+from cavityq.experiments import ExperimentConfig, run_trials
 
 SMALL_RUN = {
     "protocol": "joint_measure",
@@ -225,6 +227,45 @@ class TestRunCommand:
         )
         assert result.returncode == 1
         assert "sweep" in result.stderr
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**SMALL_RUN, "protocol_params": {"amps": 5}},
+            {**SMALL_RUN, "sweep": {"parameter": "eta_local", "values": 3}},
+            {
+                **SMALL_RUN,
+                "noise": {
+                    "backend": "bath",
+                    "bath": {"couplings": 1, "detunings": 2},
+                },
+            },
+            {
+                "protocol": "stationarity_scan",
+                "noise": {"backend": "bath", "eta_local": 0.2},
+                "protocol_params": {"durations": 7},
+            },
+        ],
+        ids=["amps", "sweep_values", "bath", "durations"],
+    )
+    def test_malformed_config_exits_one_without_traceback(self, tmp_path, doc):
+        cfg = write_config(tmp_path, doc)
+        result = invoke("run", "--config", str(cfg), "--out", str(tmp_path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:"), result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_invalid_report_raises_before_writing(self, tmp_path):
+        cfg = parse_config({**SMALL_RUN, "trials": 3})
+        stats, results = run_trials(cfg)
+        bad = replace(stats, success_probability=1.5)
+        # twice: the validator is built once and must reject every call
+        for name in ("first", "second"):
+            with pytest.raises(jsonschema.ValidationError):
+                write_run_outputs(tmp_path / name, cfg, bad, results)
+            assert not (tmp_path / name / "report.json").exists()
+        write_run_outputs(tmp_path / "good", cfg, stats, results)
+        assert (tmp_path / "good" / "report.json").is_file()
 
     def test_write_failure_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
