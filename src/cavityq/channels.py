@@ -42,6 +42,8 @@ from .hilbert import (
     StateVector,
     SubsystemSpec,
     apply,
+    from_labels_first,
+    labels_first,
     make_state,
 )
 
@@ -321,7 +323,7 @@ def _beamsplitter_op(spec, cavity, link, eta) -> LinearOp:
         ],
         dtype=complex,
     )
-    return LinearOp.from_matrix(spec, (cavity, link), m)
+    return LinearOp(spec, (cavity, link), m)
 
 
 @lru_cache(maxsize=32)
@@ -329,7 +331,7 @@ def _swap_op(spec, a, b) -> LinearOp:
     m = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
-    return LinearOp.from_matrix(spec, (a, b), m)
+    return LinearOp(spec, (a, b), m)
 
 
 def _run_trans_wrapper(s, src, tgt, cav_s, cav_t, link, eta, g, phase_offset):
@@ -563,9 +565,7 @@ def _assert_channel_domain(s: StateVector, src: str, tgt: str, *, scalar_map):
             raise ValueError(f"{label!r} is not an atom")
     if src == tgt:
         raise ValueError("source and target must differ")
-    moved = np.moveaxis(
-        s.tensor(), (spec.axis(src), spec.axis(tgt)), (0, 1)
-    ).reshape(3, 3, -1)
+    moved = labels_first(s, (src, tgt))
     if np.abs(moved[2]).max(initial=0.0) > CHANNEL_DOMAIN_TOL:
         raise ValueError("channel source must hold |0> or |1>, not |r>")
     if np.abs(moved[:, 1]).max(initial=0.0) > CHANNEL_DOMAIN_TOL:
@@ -576,7 +576,6 @@ def _assert_channel_domain(s: StateVector, src: str, tgt: str, *, scalar_map):
         raise ValueError(
             "an occupied source cannot coexist with a parked target"
         )
-    return moved
 
 
 def _analytic_copy_map(s, src, tgt, flag, survive, copy, loss):
@@ -586,9 +585,7 @@ def _analytic_copy_map(s, src, tgt, flag, survive, copy, loss):
     is fresh or parked; source |1> components split into the copy branch
     and the flagged loss branch. The flag register must be fresh.
     """
-    spec = s.spec
-    axes = (spec.axis(src), spec.axis(tgt), spec.axis(flag))
-    moved = np.moveaxis(s.tensor(), axes, (0, 1, 2)).reshape(3, 3, 2, -1)
+    moved = labels_first(s, (src, tgt, flag))
     if np.abs(moved[:, :, 1]).max(initial=0.0) > CHANNEL_DOMAIN_TOL:
         raise ValueError(f"loss flag {flag!r} is already set")
     out = np.zeros_like(moved)
@@ -596,10 +593,7 @@ def _analytic_copy_map(s, src, tgt, flag, survive, copy, loss):
     out[0, 2, 0] = survive * moved[0, 2, 0]
     out[1, 1, 0] = copy * moved[1, 0, 0]
     out[1, 0, 1] = loss * moved[1, 0, 0]
-    dims = [spec.dims[a] for a in axes]
-    rest = [d for i, d in enumerate(spec.dims) if i not in axes]
-    back = np.moveaxis(out.reshape(dims + rest), (0, 1, 2), axes)
-    return StateVector(spec, back.reshape(-1))
+    return from_labels_first(s.spec, (src, tgt, flag), out)
 
 
 def _slot_label(metadata, key, slot, what):

@@ -39,6 +39,8 @@ from .hilbert import (
     StateVector,
     SubsystemSpec,
     apply,
+    from_labels_first,
+    labels_first,
     op_sum,
 )
 
@@ -158,12 +160,6 @@ class BathSpec:
     def n_modes(self) -> int:
         return len(self.couplings)
 
-    @classmethod
-    def from_frequencies(cls, cavity_frequency, frequencies, couplings, p_therm=0.0):
-        """Build from absolute mode frequencies instead of offsets."""
-        detunings = tuple(float(f) - float(cavity_frequency) for f in frequencies)
-        return cls(tuple(couplings), detunings, p_therm)
-
 
 def thermal_configurations(bath: BathSpec):
     """Initial bath occupation branches, truncated to one excitation.
@@ -226,11 +222,13 @@ def raman_hamiltonian(
     cavity = _resolve_cavity(spec, cavity)
     half = 0.5 * coupling.g * np.exp(1j * coupling.phase)
     # support (atom, cavity), dims (3, 2), row-major: index = 2*level + photon
-    rows = [2 * LEVEL_1 + 0, 2 * LEVEL_R + 1, 2 * LEVEL_R + 0, 2 * LEVEL_R + 1]
-    cols = [2 * LEVEL_R + 1, 2 * LEVEL_1 + 0, 2 * LEVEL_R + 0, 2 * LEVEL_R + 1]
-    vals = [half, np.conj(half), coupling.detuning, coupling.detuning]
+    h = np.zeros((6, 6), dtype=complex)
+    h[2 * LEVEL_1 + 0, 2 * LEVEL_R + 1] = half
+    h[2 * LEVEL_R + 1, 2 * LEVEL_1 + 0] = np.conj(half)
+    h[2 * LEVEL_R + 0, 2 * LEVEL_R + 0] = coupling.detuning
+    h[2 * LEVEL_R + 1, 2 * LEVEL_R + 1] = coupling.detuning
     key = ("raman", spec, atom, coupling, cavity)
-    return LinearOp(spec, (atom, cavity), rows, cols, vals, key)
+    return LinearOp(spec, (atom, cavity), h, key)
 
 
 def bath_hamiltonian(
@@ -284,7 +282,7 @@ def _bath_hamiltonian(spec, couplings, detunings, cavity, bath_labels) -> Linear
         mats = [eye] + [count if j == k else eye for j in range(n_modes)]
         h += detunings[k] * chain(mats)
     key = ("bath", spec, couplings, detunings, cavity, bath_labels)
-    return LinearOp.from_matrix(spec, support, h, key)
+    return LinearOp(spec, support, h, key)
 
 
 def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> LinearOp:
@@ -294,7 +292,7 @@ def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> L
     h = hamiltonian.dense()
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * duration)) @ v.conj().T
-    return LinearOp.from_matrix(spec, hamiltonian.support, u)
+    return LinearOp(spec, hamiltonian.support, u)
 
 
 class _ByRecipe:
@@ -398,7 +396,7 @@ def single_atom_operator(spec: SubsystemSpec, atom: str, name: str) -> LinearOp:
             f"unknown single-atom op {name!r}; choose from "
             f"{tuple(sorted(_SINGLE_ATOM_MATRICES))}"
         ) from None
-    return LinearOp.from_matrix(spec, (atom,), m)
+    return LinearOp(spec, (atom,), m)
 
 
 def single_atom_op(state: StateVector, atom: str, kind: str) -> StateVector:
@@ -424,8 +422,7 @@ def optical_pump_r_to_1(state: StateVector, atom: str) -> StateVector:
     spec = state.spec
     if spec.kind(atom) != "atom":
         raise ValueError(f"{atom!r} is not an atom")
-    ax = spec.axis(atom)
-    moved = np.moveaxis(state.tensor(), ax, 0).reshape(3, -1).copy()
+    moved = labels_first(state, (atom,)).copy()
     clash = (np.abs(moved[LEVEL_1]) > PUMP_COEXISTENCE_TOL) & (
         np.abs(moved[LEVEL_R]) > PUMP_COEXISTENCE_TOL
     )
@@ -435,9 +432,7 @@ def optical_pump_r_to_1(state: StateVector, atom: str) -> StateVector:
         )
     moved[LEVEL_1] += moved[LEVEL_R]
     moved[LEVEL_R] = 0.0
-    dims = (3,) + tuple(d for i, d in enumerate(spec.dims) if i != ax)
-    back = np.moveaxis(moved.reshape(dims), 0, ax)
-    return StateVector(spec, back.reshape(-1))
+    return from_labels_first(spec, (atom,), moved)
 
 
 def excitation_number(spec: SubsystemSpec) -> LinearOp:
@@ -453,5 +448,5 @@ def excitation_number(spec: SubsystemSpec) -> LinearOp:
             m = np.diag([0.0, 1.0, 0.0])
         else:
             m = np.diag([0.0, 1.0])
-        terms.append(LinearOp.from_matrix(spec, (s.label,), m))
+        terms.append(LinearOp(spec, (s.label,), m))
     return op_sum(terms)

@@ -11,6 +11,7 @@ geometric attempt law, the loss scalars) and a direct per-trial replay.
 """
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -452,18 +453,20 @@ def run_trials(cfg: ExperimentConfig, jobs=None):
 
     Each trial samples from its own counter-derived stream, so the result
     list is a pure function of (cfg, seed) no matter how many worker
-    processes share the load. Each worker samples its contiguous share of
-    the trials through a branch trie of its own.
+    processes share the load. The pool holds at most one worker per trial
+    and per CPU, since a fork pool starts every worker at once; each
+    worker samples its contiguous share of the trials through a branch
+    trie of its own.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be a positive integer")
     n = cfg.trials
-    if jobs is None or jobs == 1 or n == 1:
+    workers = min(jobs or 1, n, os.cpu_count() or 1)
+    if workers == 1:
         results = _run_share(cfg, range(n))
     else:
-        shares = min(jobs, n)
-        bounds = [n * i // shares for i in range(shares + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        bounds = [n * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 partial(_run_share, cfg),
                 [range(a, b) for a, b in zip(bounds, bounds[1:])],

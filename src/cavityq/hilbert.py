@@ -5,7 +5,10 @@ Everything downstream (pulse dynamics, noise channels, protocols) runs on a
 atom (three levels |0>, |1>, |r>), a cavity mode, or a bath mode (both
 hard-core two-level). States are dense complex vectors over the full product
 space. Subnormalized states are first class because the branch algebra keeps
-loss branches around until they are measured away.
+loss branches around until they are measured away. Operators are dense
+matrices on their support labels. This module alone knows how a state's
+amplitudes are laid out as a tensor; other modules reach the amplitudes of
+chosen labels through `labels_first` and `from_labels_first`.
 
 Tolerance constants for the whole package live here so every module pins the
 same numbers.
@@ -13,10 +16,10 @@ same numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 # Exactness assertions (unitarity, golden amplitudes, conservation laws).
 TOL_EXACT = 1e-12
@@ -215,10 +218,12 @@ def superpose(terms) -> StateVector:
 
 
 class LinearOp:
-    """Sparse operator supported on a subset of subsystems.
+    """Dense operator supported on a subset of subsystems.
 
-    The matrix indices run over the support labels' dimensions in the listed
-    order, row-major. Stored sparsely as (row, col, value) triples.
+    ``matrix`` is square over the support labels' dimensions in the listed
+    order, row-major; it is copied and stored read-only. An operator is
+    bound to its spec, so the axis permutation that brings its support
+    together in a state tensor is worked out once, here.
 
     ``key`` is an optional hashable recipe that fully determines the
     operator, such as a Hamiltonian constructor's arguments. Operators
@@ -227,37 +232,42 @@ class LinearOp:
     are shared once cached, so nothing may change one in place.
     """
 
-    def __init__(self, spec, support, rows, cols, values, key=None):
+    def __init__(self, spec, support, matrix, key=None):
         self.spec = spec
         self.key = key
         self.support = tuple(support)
         if len(set(self.support)) != len(self.support):
             raise ValueError("duplicate support labels")
-        dim = 1
-        for label in self.support:
-            dim *= spec.dim_of(label)
+        axes = [spec.axis(l) for l in self.support]
+        dim = math.prod(spec.dims[a] for a in axes)
         self.support_dim = dim
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.complex128)
-        if rows.size and (rows.max() >= dim or cols.max() >= dim):
-            raise ValueError("triple index outside support dimension")
-        self._mat = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
-
-    @classmethod
-    def from_matrix(cls, spec, support, matrix, key=None) -> "LinearOp":
-        m = np.asarray(matrix, dtype=np.complex128)
-        rows, cols = np.nonzero(m)
-        return cls(spec, support, rows, cols, m[rows, cols], key)
+        mat = np.array(matrix, dtype=np.complex128)
+        if mat.shape != (dim, dim):
+            raise ValueError(
+                f"operator on {self.support} needs a {dim}x{dim} matrix, "
+                f"got shape {mat.shape}"
+            )
+        mat.setflags(write=False)
+        self._mat = mat
+        # Move the support axes, in support order, to the first one's place:
+        # a state tensor then reads as a (batch, support_dim, rest) block,
+        # with no copy when the support is already adjacent and in order.
+        first = min(axes)
+        after = [a for a in range(first, len(spec.dims)) if a not in axes]
+        self._perm = tuple(range(first)) + tuple(axes) + tuple(after)
+        self._moves = self._perm != tuple(range(len(spec.dims)))
+        self._block = (
+            math.prod(spec.dims[:first]),
+            dim,
+            math.prod(spec.dims[a] for a in after),
+        )
 
     def dense(self) -> np.ndarray:
-        return self._mat.toarray()
+        """The support matrix (read-only)."""
+        return self._mat
 
     def is_hermitian(self, tol: float = TOL_EXACT) -> bool:
-        d = self._mat - self._mat.getH()
-        if d.nnz == 0:
-            return True
-        return float(abs(d).max()) <= tol
+        return float(np.abs(self._mat - self._mat.conj().T).max()) <= tol
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         if self.spec != other.spec:
@@ -267,8 +277,7 @@ class LinearOp:
                 "adding operators with different supports; embed them on a "
                 "common support first"
             )
-        m = (self._mat + other._mat).tocoo()
-        return LinearOp(self.spec, self.support, m.row, m.col, m.data)
+        return LinearOp(self.spec, self.support, self._mat + other._mat)
 
     def embedded(self, support) -> "LinearOp":
         """Same operator viewed on a larger support (identity elsewhere)."""
@@ -277,32 +286,19 @@ class LinearOp:
             raise ValueError("new support must contain the old one")
         if support == self.support:
             return self
-        dims = [self.spec.dim_of(l) for l in support]
-        own_pos = [support.index(l) for l in self.support]
-        other_pos = [i for i in range(len(support)) if support[i] not in self.support]
-        other_dim = 1
-        for i in other_pos:
-            other_dim *= dims[i]
-        coo = self._mat.tocoo()
-        own_dims = [self.spec.dim_of(l) for l in self.support]
-        rows, cols, vals = [], [], []
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            r_idx = np.unravel_index(r, own_dims)
-            c_idx = np.unravel_index(c, own_dims)
-            for k in range(other_dim):
-                k_idx = np.unravel_index(k, [dims[i] for i in other_pos]) if other_pos else ()
-                full_r = [0] * len(support)
-                full_c = [0] * len(support)
-                for p, i in zip(own_pos, range(len(self.support))):
-                    full_r[p] = r_idx[i]
-                    full_c[p] = c_idx[i]
-                for p, i in zip(other_pos, range(len(other_pos))):
-                    full_r[p] = k_idx[i]
-                    full_c[p] = k_idx[i]
-                rows.append(int(np.ravel_multi_index(full_r, dims)))
-                cols.append(int(np.ravel_multi_index(full_c, dims)))
-                vals.append(v)
-        return LinearOp(self.spec, support, rows, cols, vals)
+        order = self.support + tuple(l for l in support if l not in self.support)
+        dims = [self.spec.dim_of(l) for l in order]
+        d = self.support_dim
+        rest = math.prod(dims) // d
+        # kron(matrix, identity), written by assignment so every entry is
+        # an exact copy of the matrix or an exact zero
+        kron = np.zeros((d, rest, d, rest), dtype=np.complex128)
+        diag = np.arange(rest)
+        kron[:, diag, :, diag] = self._mat
+        perm = [order.index(l) for l in support]
+        n = len(order)
+        full = kron.reshape(dims + dims).transpose(perm + [n + p for p in perm])
+        return LinearOp(self.spec, support, full.reshape(d * rest, d * rest))
 
 
 def op_sum(ops) -> LinearOp:
@@ -329,95 +325,41 @@ def apply(op: LinearOp, state: StateVector) -> StateVector:
     """Apply an operator to a state, acting as identity off its support."""
     if op.spec != state.spec:
         raise ValueError("operator and state specs differ")
-    spec = state.spec
-    axes = [spec.axis(l) for l in op.support]
-    n_sup = len(axes)
-    tensor = state.tensor()
-    moved = np.moveaxis(tensor, axes, range(n_sup))
-    flat = np.ascontiguousarray(moved).reshape(op.support_dim, -1)
-    out = op._mat @ flat
-    out = np.moveaxis(out.reshape(moved.shape), range(n_sup), axes)
-    return StateVector(spec, np.ascontiguousarray(out).reshape(-1))
+    block = state.tensor().transpose(op._perm).reshape(op._block)
+    out = op._mat @ block
+    if op._moves:
+        # every dimension is at least 2, so a moved support cannot merge
+        # into one axis of a view: block is a private copy, and the result
+        # goes back into it in spec order
+        back = block.reshape(state.spec.dims).transpose(op._perm)
+        back[...] = out.reshape(back.shape)
+        out = block
+    return StateVector(state.spec, out)
 
 
 def norm_squared(state: StateVector) -> float:
     return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
 
-def _branch_states(state, label, basis):
-    """Split a state along one subsystem's measurement basis.
+def labels_first(state: StateVector, labels) -> np.ndarray:
+    """Amplitudes with the labels' axes first, in the given order.
 
-    Returns a list of (outcome_index, weight, unit_state_or_None). Weights are
-    absolute: they sum to the squared norm of the input.
+    The result has one axis per label and one last axis for every other
+    subsystem together, in spec order. It is a view where no copy is
+    needed, so copy it before writing to it.
     """
     spec = state.spec
-    ax = spec.axis(label)
-    d = spec.dim_of(label)
-    tensor = state.tensor()
-    moved = np.moveaxis(tensor, ax, 0).reshape(d, -1)
-    if basis is not None:
-        basis = np.asarray(basis, dtype=np.complex128)
-        if basis.shape != (d, d):
-            raise ValueError(f"basis must be {d}x{d} (columns are outcomes)")
-        if not np.allclose(basis.conj().T @ basis, np.eye(d), atol=1e-10):
-            raise ValueError("measurement basis is not unitary")
-        moved = basis.conj().T @ moved
-    branches = []
-    for k in range(d):
-        w = float(np.vdot(moved[k], moved[k]).real)
-        if w <= 0.0:
-            branches.append((k, 0.0, None))
-            continue
-        comp = np.zeros_like(moved)
-        comp[k] = moved[k]
-        if basis is not None:
-            comp = basis @ comp
-        back = np.moveaxis(
-            comp.reshape((d,) + tuple(np.delete(spec.dims, ax))), 0, ax
-        )
-        unit = StateVector(spec, back.reshape(-1) / np.sqrt(w))
-        branches.append((k, w, unit))
-    return branches
+    axes = [spec.axis(l) for l in labels]
+    moved = np.moveaxis(state.tensor(), axes, range(len(axes)))
+    return moved.reshape([spec.dims[a] for a in axes] + [-1])
 
 
-def project_branch(state: StateVector, label: str, basis=None):
-    """All measurement branches of one subsystem, without sampling.
-
-    Each entry is (outcome_index, weight, collapsed_unit_state). Zero-weight
-    branches carry ``None`` for the state. Weights sum to the squared norm of
-    the input.
-    """
-    return _branch_states(state, label, basis)
-
-
-def measure_projective(state, label, rng, basis=None):
-    """Sample one measurement outcome and collapse.
-
-    Parameters
-    ----------
-    state : StateVector
-    label : str
-        Subsystem to measure.
-    rng : numpy.random.Generator
-        Outcome sampling stream.
-    basis : ndarray, optional
-        Unitary whose columns are the measurement vectors; computational
-        basis when omitted.
-
-    Returns
-    -------
-    (outcome_index, probability, collapsed_state)
-        Probability is conditional on the input state (weights renormalized
-        by its squared norm); the collapsed state has unit norm.
-    """
-    branches = _branch_states(state, label, basis)
-    total = sum(w for _, w, _ in branches)
-    if total <= 0.0:
-        raise ValueError("cannot measure a zero state")
-    probs = np.array([w / total for _, w, _ in branches])
-    k = int(rng.choice(len(branches), p=probs))
-    _, w, collapsed = branches[k]
-    return k, w / total, collapsed
+def from_labels_first(spec: SubsystemSpec, labels, array) -> StateVector:
+    """The state whose `labels_first` layout is ``array``."""
+    axes = [spec.axis(l) for l in labels]
+    rest = [d for i, d in enumerate(spec.dims) if i not in axes]
+    lead = np.reshape(array, [spec.dims[a] for a in axes] + rest)
+    return StateVector(spec, np.moveaxis(lead, range(len(axes)), axes))
 
 
 def _check_groups(groups, d):
@@ -438,10 +380,8 @@ def project_subspaces(state: StateVector, label: str, groups):
     to the squared norm of the input.
     """
     spec = state.spec
-    ax = spec.axis(label)
-    d = spec.dim_of(label)
-    groups = _check_groups(groups, d)
-    moved = np.moveaxis(state.tensor(), ax, 0).reshape(d, -1)
+    groups = _check_groups(groups, spec.dim_of(label))
+    moved = labels_first(state, (label,))
     branches = []
     for k, group in enumerate(groups):
         comp = np.zeros_like(moved)
@@ -451,27 +391,9 @@ def project_subspaces(state: StateVector, label: str, groups):
         if w <= 0.0:
             branches.append((k, 0.0, None))
             continue
-        back = np.moveaxis(
-            comp.reshape((d,) + tuple(np.delete(spec.dims, ax))), 0, ax
-        )
-        branches.append((k, w, StateVector(spec, back.reshape(-1) / np.sqrt(w))))
+        comp /= np.sqrt(w)
+        branches.append((k, w, from_labels_first(spec, (label,), comp)))
     return branches
-
-
-def measure_subspaces(state, label, groups, rng):
-    """Sample a coarse projective measurement and collapse.
-
-    Same contract as `measure_projective` but outcomes are the level groups
-    of `project_subspaces` instead of single levels.
-    """
-    branches = project_subspaces(state, label, groups)
-    total = sum(w for _, w, _ in branches)
-    if total <= 0.0:
-        raise ValueError("cannot measure a zero state")
-    probs = np.array([w / total for _, w, _ in branches])
-    k = int(rng.choice(len(branches), p=probs))
-    _, w, collapsed = branches[k]
-    return k, w / total, collapsed
 
 
 def fidelity(state: StateVector, target: StateVector) -> float:
@@ -496,8 +418,6 @@ def fidelity(state: StateVector, target: StateVector) -> float:
     for l in t_labels:
         if state.spec.kind(l) != target.spec.kind(l):
             raise ValueError(f"kind mismatch for label {l!r}")
-    axes = [state.spec.axis(l) for l in t_labels]
-    moved = np.moveaxis(state.tensor(), axes, range(len(axes)))
-    flat = np.ascontiguousarray(moved).reshape(target.spec.total_dim, -1)
+    flat = labels_first(state, t_labels).reshape(target.spec.total_dim, -1)
     v = target.amplitudes.conj() @ flat
     return float(np.vdot(v, v).real / (sn * tn))

@@ -49,6 +49,8 @@ from .hilbert import (
     StateVector,
     SubsystemSpec,
     fidelity,
+    from_labels_first,
+    labels_first,
     make_state,
     project_subspaces,
     superpose,
@@ -184,9 +186,7 @@ class JointMeasureOutcome:
 
 
 def _assert_jm_domain(state, pair, herald):
-    spec = state.spec
-    axes = (spec.axis(pair[0]), spec.axis(pair[1]), spec.axis(herald))
-    moved = np.moveaxis(state.tensor(), axes, (0, 1, 2)).reshape(3, 3, 3, -1)
+    moved = labels_first(state, (pair[0], pair[1], herald))
     if np.abs(moved[1, 1]).max(initial=0.0) > 1e-12:
         raise ValueError(
             "joint measurement needs the pair inside span{|00>, |01>, |10>}"
@@ -506,9 +506,7 @@ def _analytic_gate_map(s, a1, a2, flag, lam, sign10):
     the partner at 0, |11> losses return it to 1, matching where the pulse
     palindrome leaves them.
     """
-    spec = s.spec
-    axes = (spec.axis(a1), spec.axis(a2), spec.axis(flag))
-    moved = np.moveaxis(s.tensor(), axes, (0, 1, 2)).reshape(3, 3, 2, -1)
+    moved = labels_first(s, (a1, a2, flag))
     if np.abs(moved[2]).max(initial=0.0) > 1e-12:
         raise ValueError("gate input must keep the first atom in |0>/|1>")
     if np.abs(moved[:, 2]).max(initial=0.0) > 1e-12:
@@ -522,10 +520,7 @@ def _analytic_gate_map(s, a1, a2, flag, lam, sign10):
     out[1, 1, 0] = lam[(1, 1)] * moved[1, 1, 0]
     out[2, 0, 1] = np.sqrt(1.0 - abs(lam[(1, 0)]) ** 2) * moved[1, 0, 0]
     out[2, 1, 1] = np.sqrt(1.0 - abs(lam[(1, 1)]) ** 2) * moved[1, 1, 0]
-    dims = [spec.dims[a] for a in axes]
-    rest = [d for i, d in enumerate(spec.dims) if i not in axes]
-    back = np.moveaxis(out.reshape(dims + rest), (0, 1, 2), axes)
-    return StateVector(spec, back.reshape(-1))
+    return from_labels_first(s.spec, (a1, a2, flag), out)
 
 
 # headroom for the thermal registers: 3 windows x 4 applications x 1 mode

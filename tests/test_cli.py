@@ -339,3 +339,15 @@ class TestListPresets:
         assert "protocol=epr" in by_name["epr_ideal"]
         assert "p_therm=0.1" in by_name["epr_therm10"]
         assert "sweep=p_therm" in by_name["stationarity_default"]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy and jsonschema are the only runtime dependencies
+    probe = (
+        "import sys, cavityq.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

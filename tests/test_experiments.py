@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cavityq import experiments
 from cavityq.channels import BathSpec, NoiseConfig
 from cavityq.experiments import (
     ExperimentConfig,
@@ -195,6 +196,35 @@ class TestRunTrials:
         cfg = ExperimentConfig(protocol="epr")
         with pytest.raises(ValueError, match="jobs"):
             run_trials(cfg, jobs=0)
+
+    @pytest.mark.parametrize(
+        "jobs, trials, cpus, workers",
+        [(500, 2, 8, 2), (500, 40, 4, 4), (3, 40, 8, 3), (8, 40, 1, None)],
+    )
+    def test_pool_sized_by_trials_and_cpus(
+        self, monkeypatch, jobs, trials, cpus, workers
+    ):
+        # a fork pool starts every worker at once, so none may sit idle
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, shares):
+                return map(fn, shares)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = ExperimentConfig(protocol="joint_measure", trials=trials, seed=4)
+        assert run_trials(cfg, jobs=jobs) == run_trials(cfg)
+        assert made == ([] if workers is None else [workers])
 
     def test_summarize_empty(self):
         with pytest.raises(ValueError, match="no trials"):

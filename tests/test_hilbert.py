@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityq.hilbert import (
     DIM_CAP,
@@ -14,13 +16,12 @@ from cavityq.hilbert import (
     apply,
     fidelity,
     make_state,
-    measure_projective,
-    measure_subspaces,
     norm_squared,
-    project_branch,
+    op_sum,
     project_subspaces,
     superpose,
 )
+from cavityq.protocols import ATOM_LEVELS, SampleChooser, measure_via
 
 TOL = 1e-12
 
@@ -115,9 +116,7 @@ class TestApply:
     def test_single_subsystem_op(self):
         spec = atom_cavity_spec()
         # swap |0> and |1> on the atom, leave |r> alone
-        op = LinearOp.from_matrix(
-            spec, ("a1",), [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-        )
+        op = LinearOp(spec, ("a1",), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         s = apply(op, make_state(spec, {"a1": 0, "c": 1}))
         assert fidelity(s, make_state(spec, {"a1": 1, "c": 1})) == pytest.approx(
             1.0, abs=TOL
@@ -125,7 +124,7 @@ class TestApply:
 
     def test_identity_off_support(self):
         spec = two_atom_spec()
-        op = LinearOp.from_matrix(spec, ("a1",), np.diag([1, -1, 1]))
+        op = LinearOp(spec, ("a1",), np.diag([1, -1, 1]))
         s = apply(op, bell(spec))
         expected = superpose(
             [
@@ -139,7 +138,9 @@ class TestApply:
         spec = two_atom_spec()
         d = spec.dim_of("a1") * spec.dim_of("a2")
         # |10><01| in (a2, a1) index order: row (1,0) -> 3, col (0,1) -> 1
-        op = LinearOp(spec, ("a2", "a1"), [3], [1], [1.0])
+        m = np.zeros((d, d))
+        m[3, 1] = 1.0
+        op = LinearOp(spec, ("a2", "a1"), m)
         s = apply(op, make_state(spec, {"a1": 0, "a2": 1}))
         # support listed as (a2, a1): the col (0,1) means a2=0, a1=1
         assert norm_squared(s) == pytest.approx(0.0, abs=TOL)
@@ -155,7 +156,7 @@ class TestApply:
         # random unitary on (a2, c) from a QR decomposition
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         q, _ = np.linalg.qr(m)
-        op = LinearOp.from_matrix(spec, ("a2", "c"), q)
+        op = LinearOp(spec, ("a2", "c"), q)
         amps = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
         amps /= np.linalg.norm(amps)
         s = StateVector(spec, amps)
@@ -165,7 +166,7 @@ class TestApply:
         rng = np.random.default_rng(11)
         spec = atom_cavity_spec()
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        op = LinearOp.from_matrix(spec, ("a1",), m / 4)
+        op = LinearOp(spec, ("a1",), m / 4)
         a = make_state(spec, {"a1": 0, "c": 0})
         b = make_state(spec, {"a1": 2, "c": 1})
         lhs = apply(op, superpose([(0.3, a), (0.4j, b)]))
@@ -174,7 +175,7 @@ class TestApply:
 
     def test_embedded_matches_direct(self):
         spec = two_atom_spec()
-        op = LinearOp.from_matrix(spec, ("a1",), np.diag([1, -1, 1j]))
+        op = LinearOp(spec, ("a1",), np.diag([1, -1, 1j]))
         emb = op.embedded(("a1", "a2"))
         s = bell(spec)
         np.testing.assert_allclose(
@@ -182,7 +183,89 @@ class TestApply:
         )
 
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (4, 4), (3, 4), (3,), (9,), (3, 3, 1)]
+    )
+    def test_matrix_shape_must_match_support(self, shape):
+        # a 2x2 matrix on a three-level atom was once zero-padded to 3x3
+        spec = atom_cavity_spec()
+        with pytest.raises(ValueError, match="3x3 matrix"):
+            LinearOp(spec, ("a1",), np.ones(shape))
+
+    def test_operators_are_read_only(self):
+        spec = atom_cavity_spec()
+        m = np.eye(6)
+        op = LinearOp(spec, ("a1", "c"), m)
+        m[0, 0] = 5.0
+        assert op.dense()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            op.dense()[0, 0] = 5.0
+
+
+def _full_space_matrix(spec, support, m):
+    """Reference: m (x) identity in (support, rest) order, then permuted
+    into spec order by an explicit permutation matrix."""
+    order = list(support) + [l for l in spec.labels if l not in support]
+    rest = spec.total_dim // len(m)
+    in_order = np.kron(m, np.eye(rest))
+    order_dims = [spec.dim_of(l) for l in order]
+    perm = np.zeros((spec.total_dim, spec.total_dim))
+    for idx in np.ndindex(*spec.dims):
+        levels = dict(zip(spec.labels, idx))
+        row = np.ravel_multi_index([levels[l] for l in order], order_dims)
+        perm[row, np.ravel_multi_index(idx, spec.dims)] = 1.0
+    return perm.T @ in_order @ perm
+
+
+@st.composite
+def _kernel_cases(draw):
+    kinds = draw(
+        st.lists(st.sampled_from(["atom", "cavity", "bathmode"]), min_size=2, max_size=5)
+    )
+    spec = SubsystemSpec([(f"r{i}", k) for i, k in enumerate(kinds)])
+    n = len(kinds)
+    supports = []
+    for _ in range(2):
+        order = draw(st.permutations(spec.labels))
+        supports.append(tuple(order[: draw(st.integers(1, n))]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return spec, supports, np.random.default_rng(seed)
+
+
+def _random_op(spec, support, rng):
+    d = int(np.prod([spec.dim_of(l) for l in support]))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    # below unit operator norm, so images stay valid states
+    m /= np.linalg.norm(m)
+    return LinearOp(spec, support, m), m
+
+
+@given(_kernel_cases())
+def test_kernel_matches_full_space_reference(case):
+    spec, (sup1, sup2), rng = case
+    op, m = _random_op(spec, sup1, rng)
+    other, m2 = _random_op(spec, sup2, rng)
+    ref = _full_space_matrix(spec, sup1, m)
+    amps = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
+    state = StateVector(spec, amps / np.linalg.norm(amps))
+    before = state.amplitudes.copy()
+    np.testing.assert_allclose(
+        apply(op, state).amplitudes, ref @ before, rtol=0, atol=1e-12
+    )
+    np.testing.assert_array_equal(state.amplitudes, before)
+    np.testing.assert_array_equal(op.embedded(spec.labels).dense(), ref)
+    total = op_sum([op, other]).embedded(spec.labels)
+    np.testing.assert_allclose(
+        total.dense(), ref + _full_space_matrix(spec, sup2, m2), rtol=0, atol=1e-12
+    )
+    herm = LinearOp(spec, sup1, m + m.conj().T)
+    assert herm.is_hermitian()
+    assert herm.embedded(spec.labels).is_hermitian()
+    assert op.is_hermitian() == np.allclose(ref, ref.conj().T, rtol=0, atol=1e-12)
+
+
 class TestBranching:
+    # single-level groups are the fine-grained readout
     def test_weights_sum_to_norm_squared(self):
         spec = two_atom_spec()
         s = superpose(
@@ -191,7 +274,7 @@ class TestBranching:
                 (0.8, make_state(spec, {"a1": 1, "a2": 0})),
             ]
         )
-        branches = project_branch(s, "a1")
+        branches = project_subspaces(s, "a1", ATOM_LEVELS)
         assert sum(w for _, w, _ in branches) == pytest.approx(
             norm_squared(s), abs=TOL
         )
@@ -203,7 +286,7 @@ class TestBranching:
     def test_collapsed_states_are_unit_and_consistent(self):
         spec = two_atom_spec()
         s = bell(spec)
-        for k, w, post in project_branch(s, "a2"):
+        for k, w, post in project_subspaces(s, "a2", ATOM_LEVELS):
             if w == 0.0:
                 assert post is None
                 continue
@@ -212,37 +295,19 @@ class TestBranching:
                 post, make_state(spec, {"a1": k, "a2": k})
             ) == pytest.approx(1.0, abs=TOL)
 
-    def test_rotated_basis_branching(self):
-        spec = two_atom_spec()
-        s = make_state(spec, {"a1": 0, "a2": 0})
-        h = np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
-        branches = project_branch(s, "a1", basis=h)
-        weights = {k: w for k, w, _ in branches}
-        assert weights[0] == pytest.approx(0.5, abs=TOL)
-        assert weights[1] == pytest.approx(0.5, abs=TOL)
-        assert weights[2] == 0.0
-        # collapsed branch must lie along the basis column, not |0>
-        _, _, plus = branches[0]
-        t = plus.tensor()
-        assert t[0, 0] == pytest.approx(t[1, 0], abs=TOL)
-
-    def test_nonunitary_basis_rejected(self):
-        spec = two_atom_spec()
-        s = make_state(spec, {"a1": 0, "a2": 0})
-        with pytest.raises(ValueError, match="unitary"):
-            project_branch(s, "a1", basis=np.ones((3, 3)))
-
+    # sampling goes through a chooser, as in every protocol
     def test_measure_reproducible_with_seed(self):
         spec = two_atom_spec()
         s = bell(spec)
-        out1 = [
-            measure_projective(s, "a1", np.random.default_rng(123))[0]
-            for _ in range(20)
-        ]
-        out2 = [
-            measure_projective(s, "a1", np.random.default_rng(123))[0]
-            for _ in range(20)
-        ]
+        out1, out2 = (
+            [
+                measure_via(
+                    SampleChooser(np.random.default_rng(123)), s, "a1", ATOM_LEVELS, "m"
+                )[0]
+                for _ in range(20)
+            ]
+            for _ in range(2)
+        )
         assert out1 == out2
         assert set(out1) <= {0, 1}
 
@@ -254,16 +319,16 @@ class TestBranching:
                 (0.8, make_state(spec, {"a1": 1, "a2": 0})),
             ]
         )
-        rng = np.random.default_rng(5)
+        chooser = SampleChooser(np.random.default_rng(5))
         n = 4000
-        ones = sum(measure_projective(s, "a1", rng)[0] for _ in range(n))
+        ones = sum(measure_via(chooser, s, "a1", ATOM_LEVELS, "m")[0] for _ in range(n))
         assert abs(ones / n - 0.64) < 4 * np.sqrt(0.64 * 0.36 / n)
 
     def test_measure_collapses(self):
         spec = two_atom_spec()
-        rng = np.random.default_rng(2)
-        k, p, post = measure_projective(bell(spec), "a1", rng)
-        assert p == pytest.approx(0.5, abs=TOL)
+        chooser = SampleChooser(np.random.default_rng(2))
+        k, post = measure_via(chooser, bell(spec), "a1", ATOM_LEVELS, "m")
+        assert chooser.trace[0].weights[k] == pytest.approx(0.5, abs=TOL)
         assert fidelity(
             post, make_state(spec, {"a1": k, "a2": k})
         ) == pytest.approx(1.0, abs=TOL)
@@ -312,12 +377,12 @@ class TestCoarseBranching:
             ]
         )
         counts = [0, 0]
-        rng = np.random.default_rng(11)
+        chooser = SampleChooser(np.random.default_rng(11))
         for _ in range(400):
-            k, p, collapsed = measure_subspaces(s, "a1", [(0, 1), (2,)], rng)
+            k, collapsed = measure_via(chooser, s, "a1", [(0, 1), (2,)], "m")
             counts[k] += 1
             assert norm_squared(collapsed) == pytest.approx(1.0, abs=TOL)
-            assert p == pytest.approx(0.36 if k == 0 else 0.64, abs=TOL)
+            assert chooser.trace[-1].weights == pytest.approx((0.36, 0.64), abs=TOL)
         assert abs(counts[1] / 400 - 0.64) < 4 * np.sqrt(0.64 * 0.36 / 400)
 
 
