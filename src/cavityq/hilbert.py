@@ -8,7 +8,8 @@ space. Subnormalized states are first class because the branch algebra keeps
 loss branches around until they are measured away. Operators are dense
 matrices on their support labels. This module alone knows how a state's
 amplitudes are laid out as a tensor; other modules reach the amplitudes of
-chosen labels through `labels_first` and `from_labels_first`.
+chosen labels through `labels_first` and `from_labels_first`, and append
+registers to a state through `extend`.
 
 Tolerance constants for the whole package live here so every module pins the
 same numbers.
@@ -341,6 +342,40 @@ def norm_squared(state: StateVector) -> float:
     return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
 
+def extend(state: StateVector, spec: SubsystemSpec, levels: dict) -> StateVector:
+    """The state tensored with basis levels on the registers ``spec`` appends.
+
+    ``spec`` must list the state's subsystems first, in the same order;
+    ``levels`` assigns a level to every label it appends and to no other
+    label. Every amplitude is copied exactly into its place and the rest
+    are exact zeros.
+    """
+    old = state.spec
+    n = len(old.subsystems)
+    if spec.subsystems[:n] != old.subsystems:
+        raise ValueError(f"{spec!r} does not extend {old!r}")
+    tail = spec.subsystems[n:]
+    labels = [s.label for s in tail]
+    missing = set(labels) - set(levels)
+    if missing:
+        raise ValueError(f"levels missing labels {sorted(missing)}")
+    extra = set(levels) - set(labels)
+    if extra:
+        raise ValueError(f"levels for labels not appended {sorted(extra)}")
+    idx = []
+    for s in tail:
+        level = levels[s.label]
+        if not 0 <= level < s.dim:
+            raise ValueError(
+                f"level {level} out of range for {s.label!r} (dim {s.dim})"
+            )
+        idx.append(level)
+    rest = spec.total_dim // old.total_dim
+    amps = np.zeros((old.total_dim, rest), dtype=np.complex128)
+    amps[:, int(np.ravel_multi_index(idx, spec.dims[n:]))] = state.amplitudes
+    return StateVector(spec, amps)
+
+
 def labels_first(state: StateVector, labels) -> np.ndarray:
     """Amplitudes with the labels' axes first, in the given order.
 
@@ -370,30 +405,35 @@ def _check_groups(groups, d):
     return groups
 
 
-def project_subspaces(state: StateVector, label: str, groups):
-    """Branches of a coarse projective measurement on one subsystem.
+def project_subspaces(state: StateVector, label: str, groups, pick):
+    """Coarse projective measurement on one subsystem, keeping one outcome.
 
     ``groups`` is a partition of the subsystem's levels into tuples; each
     group is one outcome and its projector keeps every level in the group,
-    so coherence inside a group survives the collapse. Returns a list of
-    (group_index, weight, collapsed_unit_state_or_None) with weights summing
-    to the squared norm of the input.
+    so coherence inside a group survives the collapse. ``pick`` receives
+    the outcome weights, one per group and summing to the squared norm of
+    the input, and returns the index of the outcome to keep. Returns that
+    index and the collapsed unit state; no other outcome's state is built.
     """
     spec = state.spec
     groups = _check_groups(groups, spec.dim_of(label))
     moved = labels_first(state, (label,))
-    branches = []
-    for k, group in enumerate(groups):
-        comp = np.zeros_like(moved)
+    # one zero-padded buffer serves every group, and then the kept one
+    comp = np.zeros_like(moved)
+    weights = []
+    for group in groups:
         for level in group:
             comp[level] = moved[level]
-        w = float(np.vdot(comp, comp).real)
-        if w <= 0.0:
-            branches.append((k, 0.0, None))
-            continue
-        comp /= np.sqrt(w)
-        branches.append((k, w, from_labels_first(spec, (label,), comp)))
-    return branches
+        weights.append(float(np.vdot(comp, comp).real))
+        for level in group:
+            comp[level] = 0.0
+    idx = pick(weights)
+    if weights[idx] <= 0.0:
+        raise ValueError(f"outcome {idx} of {label!r} has zero weight")
+    for level in groups[idx]:
+        comp[level] = moved[level]
+    comp /= np.sqrt(weights[idx])
+    return idx, from_labels_first(spec, (label,), comp)
 
 
 def fidelity(state: StateVector, target: StateVector) -> float:

@@ -48,6 +48,7 @@ from .dynamics import (
 from .hilbert import (
     StateVector,
     SubsystemSpec,
+    extend,
     fidelity,
     from_labels_first,
     labels_first,
@@ -145,14 +146,11 @@ def measure_via(chooser, state, label, groups, name):
 
     Returns (group_index, collapsed_state). Coherence inside the chosen
     group survives, mirroring a readout that cannot resolve its members.
+    Only the chosen branch's state is built.
     """
-    branches = project_subspaces(state, label, groups)
-    weights = [w for _, w, _ in branches]
-    idx = chooser.choose(name, weights)
-    _, _, post = branches[idx]
-    if post is None:
-        raise ValueError(f"chose an empty branch at {name!r}")
-    return idx, post
+    return project_subspaces(
+        state, label, groups, lambda weights: chooser.choose(name, weights)
+    )
 
 
 def _thermal_assignments(chooser, bath, slot_modes, tag):
@@ -533,8 +531,12 @@ class GateCircuit:
     The bath backend reuses its three idle-window modes across
     applications when they start in vacuum: a passed checkpoint then
     certifies they are back in vacuum. Thermal occupation voids that
-    certificate, so thermal runs get fresh window modes per application,
-    at the cost of a larger register budget.
+    certificate, so thermal runs get fresh window modes per application.
+    Until an application starts, its window modes are still in the
+    levels they were drawn in, so they join the register only then:
+    ``specs[k]`` is the register of application ``k``, each one a prefix
+    of the next, and ``spec`` is the last one. The analytic backend and
+    the vacuum bath keep one register throughout.
     """
 
     def __init__(
@@ -554,52 +556,65 @@ class GateCircuit:
             self.spec = SubsystemSpec(
                 atoms + [(f, "bathmode") for f in self.flags]
             )
+            self.specs = (self.spec,) * applications
             self.exposures = gate_exposures(noise, g=g)
             self.bath = None
             self.windows = None
-        else:
-            self.flags = None
-            self.exposures = None
-            self.bath = (
-                replace(noise.bath, p_therm=noise.p_therm)
-                if noise.bath is not None
-                else default_loss_bath(noise.eta_local, dwell, noise.p_therm)
-            )
-            if noise.p_therm > 0.0:
-                per_app = tuple(
-                    tuple(
-                        tuple(
-                            f"a{k}w{w}m{m}" for m in range(self.bath.n_modes)
-                        )
-                        for w in range(3)
-                    )
-                    for k in range(applications)
-                )
-            else:
-                shared = tuple(
-                    tuple(f"w{w}m{m}" for m in range(self.bath.n_modes))
+            return
+        self.flags = None
+        self.exposures = None
+        self.bath = (
+            replace(noise.bath, p_therm=noise.p_therm)
+            if noise.bath is not None
+            else default_loss_bath(noise.eta_local, dwell, noise.p_therm)
+        )
+        n_modes = self.bath.n_modes
+        entries = atoms + [("cav", "cavity")]
+        if noise.p_therm > 0.0:
+            self.windows = tuple(
+                tuple(
+                    tuple(f"a{k}w{w}m{m}" for m in range(n_modes))
                     for w in range(3)
                 )
-                per_app = (shared,) * applications
-            self.windows = per_app
-            labels = []
-            for app in per_app:
-                for w in app:
-                    for m in w:
-                        if m not in labels:
-                            labels.append(m)
-            self.spec = SubsystemSpec(
-                atoms
-                + [("cav", "cavity")]
-                + [(m, "bathmode") for m in labels],
+                for k in range(applications)
+            )
+            specs = []
+            for app in self.windows:
+                entries = entries + [(m, "bathmode") for w in app for m in w]
+                specs.append(SubsystemSpec(entries, cap=GATE_DIM_CAP))
+            self.specs = tuple(specs)
+        else:
+            shared = tuple(
+                tuple(f"w{w}m{m}" for m in range(n_modes)) for w in range(3)
+            )
+            self.windows = (shared,) * applications
+            spec = SubsystemSpec(
+                entries + [(m, "bathmode") for w in shared for m in w],
                 cap=GATE_DIM_CAP,
             )
+            self.specs = (spec,) * applications
+        self.spec = self.specs[-1]
 
-    def initial_state(self, amps, chooser=None) -> StateVector:
+    def draw_levels(self, chooser) -> dict:
+        """Initial levels of the window modes for one run.
+
+        Thermal runs draw every window mode's occupation through the
+        chooser up front, one choice point per window, in application
+        order; vacuum runs draw nothing and return an empty dict.
+        """
+        if self.noise.p_therm <= 0.0:
+            return {}
+        if chooser is None:
+            raise ValueError("thermal gate runs need a chooser")
+        groups = [w for app in self.windows for w in app]
+        return _thermal_assignments(chooser, self.bath, groups, "gate")
+
+    def initial_state(self, amps, levels=None) -> StateVector:
         """State with the given four amplitudes on the (a1, a2) qubits.
 
-        Thermal runs draw the initial window-mode occupations through the
-        chooser, one choice point per window.
+        The state lives on the first application's register, its window
+        modes in ``levels`` from `draw_levels`. Vacuum runs may leave
+        ``levels`` out; thermal runs may not.
         """
         amps = np.asarray(amps, dtype=complex)
         if amps.shape != (4,):
@@ -608,21 +623,26 @@ class GateCircuit:
         if norm <= 0.0:
             raise ValueError("gate input has zero norm")
         amps = amps / norm
-        base = {label: 0 for label in self.spec.labels}
-        if self.noise.p_therm > 0.0:
-            if chooser is None:
-                raise ValueError("thermal gate runs need a chooser")
-            groups = [w for app in self.windows for w in app]
-            base.update(
-                _thermal_assignments(chooser, self.bath, groups, "gate")
-            )
+        if levels is None:
+            levels = self.draw_levels(None)
+        spec = self.specs[0]
+        base = {label: levels.get(label, 0) for label in spec.labels}
         terms = []
         for k, (v1, v2) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
             if abs(amps[k]) > 0.0:
                 terms.append(
-                    (amps[k], make_state(self.spec, {**base, "a1": v1, "a2": v2}))
+                    (amps[k], make_state(spec, {**base, "a1": v1, "a2": v2}))
                 )
         return superpose(terms)
+
+    def grow(self, s, k, levels) -> StateVector:
+        """The state on application ``k``'s register: window modes that
+        join it enter in their drawn ``levels``."""
+        spec = self.specs[k]
+        if s.spec == spec:
+            return s
+        appended = spec.labels[len(s.spec.labels):]
+        return extend(s, spec, {label: levels[label] for label in appended})
 
     def apply(self, s, *, slot=0, identity_signed=False) -> StateVector:
         """One application: the phase gate, or its identity-signed twin.
@@ -698,15 +718,19 @@ def run_gate(
     """
     if not purified:
         circ = GateCircuit(noise, g=g, dwell=dwell, applications=1)
-        s = circ.apply(circ.initial_state(amps, chooser), slot=0)
+        s = circ.initial_state(amps, circ.draw_levels(chooser))
+        s = circ.apply(s, slot=0)
         return GateRunRecord(True, None, s, fidelity(s, circ.ideal_target(amps)))
     circ = GateCircuit(noise, g=g, dwell=dwell, applications=4)
-    s = circ.initial_state(amps, chooser)
+    levels = circ.draw_levels(chooser)
+    s = circ.initial_state(amps, levels)
     for k in range(4):
+        s = circ.grow(s, k, levels)
         s = circ.apply(s, slot=k, identity_signed=(k == 3))
         idx, s = measure_via(chooser, s, "a1", QUBIT_VS_PARKED, f"cp{k}")
         if idx == 1:
-            return GateRunRecord(False, k, s, None)
+            # a failed run reports its state on the full register
+            return GateRunRecord(False, k, circ.grow(s, -1, levels), None)
         s = single_atom_op(s, GATE_FRAME_ATOMS[k], "not_01")
     s = single_atom_op(s, "a1", "phase_z")
     return GateRunRecord(True, None, s, fidelity(s, circ.ideal_target(amps)))

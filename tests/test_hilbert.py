@@ -14,6 +14,7 @@ from cavityq.hilbert import (
     StateVector,
     SubsystemSpec,
     apply,
+    extend,
     fidelity,
     make_state,
     norm_squared,
@@ -264,6 +265,96 @@ def test_kernel_matches_full_space_reference(case):
     assert op.is_hermitian() == np.allclose(ref, ref.conj().T, rtol=0, atol=1e-12)
 
 
+class TestExtend:
+    def test_amplitudes_placed_exactly(self):
+        spec = atom_cavity_spec()
+        longer = SubsystemSpec(
+            [("a1", "atom"), ("c", "cavity"), ("b0", "bathmode"), ("a2", "atom")]
+        )
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+        state = StateVector(spec, amps / np.linalg.norm(amps))
+        out = extend(state, longer, {"b0": 1, "a2": 2})
+        assert out.spec == longer
+        t = out.tensor()
+        np.testing.assert_array_equal(t[:, :, 1, 2], state.tensor())
+        rest = t.copy()
+        rest[:, :, 1, 2] = 0.0
+        assert not rest.any()
+        np.testing.assert_array_equal(state.amplitudes, amps / np.linalg.norm(amps))
+
+    def test_same_spec_is_a_copy(self):
+        s = bell(two_atom_spec())
+        out = extend(s, two_atom_spec(), {})
+        np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
+        assert out.amplitudes is not s.amplitudes
+
+    def test_rejects_spec_that_does_not_extend(self):
+        s = bell(two_atom_spec())
+        for entries in (
+            [("a2", "atom"), ("a1", "atom"), ("b", "bathmode")],
+            [("a1", "atom"), ("a2", "cavity"), ("b", "bathmode")],
+            [("a1", "atom"), ("b", "bathmode"), ("a2", "atom")],
+            [("a1", "atom")],
+        ):
+            with pytest.raises(ValueError, match="does not extend"):
+                extend(s, SubsystemSpec(entries), {"b": 0})
+
+    def test_rejects_missing_extra_and_out_of_range_levels(self):
+        s = bell(two_atom_spec())
+        longer = SubsystemSpec(
+            [("a1", "atom"), ("a2", "atom"), ("b", "bathmode"), ("c", "cavity")]
+        )
+        with pytest.raises(ValueError, match="missing"):
+            extend(s, longer, {"b": 0})
+        with pytest.raises(ValueError, match="not appended"):
+            extend(s, longer, {"b": 0, "c": 0, "a1": 0})
+        with pytest.raises(ValueError, match="out of range"):
+            extend(s, longer, {"b": 2, "c": 0})
+        with pytest.raises(ValueError, match="out of range"):
+            extend(s, longer, {"b": 0, "c": -1})
+
+
+@given(_kernel_cases(), st.lists(st.sampled_from(["atom", "cavity", "bathmode"]),
+                                 min_size=1, max_size=3))
+def test_extend_commutes_with_apply(case, appended):
+    spec, (support, _), rng = case
+    longer = SubsystemSpec(
+        [(s.label, s.kind) for s in spec.subsystems]
+        + [(f"x{i}", k) for i, k in enumerate(appended)]
+    )
+    levels = {
+        f"x{i}": int(rng.integers(longer.dim_of(f"x{i}")))
+        for i in range(len(appended))
+    }
+    op, m = _random_op(spec, support, rng)
+    amps = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
+    state = StateVector(spec, amps / np.linalg.norm(amps))
+    first = extend(apply(op, state), longer, levels)
+    then = apply(LinearOp(longer, support, m), extend(state, longer, levels))
+    np.testing.assert_allclose(first.amplitudes, then.amplitudes, rtol=0, atol=1e-12)
+
+
+def outcomes(state, label, groups):
+    """Every outcome of a coarse measurement, each kept in turn:
+    (index, weight, collapsed state or None for a zero-weight outcome)."""
+    out = []
+    for k in range(len(groups)):
+        offered = []
+
+        def keep(weights, k=k):
+            offered.extend(weights)
+            return k
+
+        try:
+            _, post = project_subspaces(state, label, groups, keep)
+        except ValueError as err:
+            assert "zero weight" in str(err) and offered[k] == 0.0
+            post = None
+        out.append((k, offered[k], post))
+    return out
+
+
 class TestBranching:
     # single-level groups are the fine-grained readout
     def test_weights_sum_to_norm_squared(self):
@@ -274,7 +365,7 @@ class TestBranching:
                 (0.8, make_state(spec, {"a1": 1, "a2": 0})),
             ]
         )
-        branches = project_subspaces(s, "a1", ATOM_LEVELS)
+        branches = outcomes(s, "a1", ATOM_LEVELS)
         assert sum(w for _, w, _ in branches) == pytest.approx(
             norm_squared(s), abs=TOL
         )
@@ -286,7 +377,7 @@ class TestBranching:
     def test_collapsed_states_are_unit_and_consistent(self):
         spec = two_atom_spec()
         s = bell(spec)
-        for k, w, post in project_subspaces(s, "a2", ATOM_LEVELS):
+        for k, w, post in outcomes(s, "a2", ATOM_LEVELS):
             if w == 0.0:
                 assert post is None
                 continue
@@ -344,7 +435,7 @@ class TestCoarseBranching:
                 (0.64, make_state(spec, {"a1": 2, "a2": 1})),
             ]
         )
-        branches = project_subspaces(s, "a1", [(0, 1), (2,)])
+        branches = outcomes(s, "a1", [(0, 1), (2,)])
         assert branches[0][1] == pytest.approx(0.36 + 0.2304, abs=TOL)
         assert branches[1][1] == pytest.approx(0.4096, abs=TOL)
         kept = branches[0][2]
@@ -364,9 +455,9 @@ class TestCoarseBranching:
         spec = two_atom_spec()
         s = make_state(spec, {"a1": 0, "a2": 0})
         with pytest.raises(ValueError, match="partition"):
-            project_subspaces(s, "a1", [(0, 1), (1, 2)])
+            project_subspaces(s, "a1", [(0, 1), (1, 2)], min)
         with pytest.raises(ValueError, match="partition"):
-            project_subspaces(s, "a1", [(0,), (2,)])
+            project_subspaces(s, "a1", [(0,), (2,)], min)
 
     def test_sampled_coarse_measurement(self):
         spec = two_atom_spec()
