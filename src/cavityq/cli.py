@@ -541,7 +541,9 @@ def cmd_list_presets(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cavityq",
         description="Run heralded cavity-QED protocol experiments.",

@@ -27,6 +27,7 @@ results are bit for bit those of an uncached run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,7 +76,7 @@ class RamanCoupling:
     def __post_init__(self):
         if self.g < 0.0:
             raise ValueError("coupling rate g must be nonnegative")
-        if not np.isfinite([self.g, self.phase, self.detuning]).all():
+        if not all(map(math.isfinite, (self.g, self.phase, self.detuning))):
             raise ValueError("coupling parameters must be finite")
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,10 +161,12 @@ class StateVector:
                 f"amplitude length {amps.size} does not match spec dimension "
                 f"{self.spec.total_dim}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("non-finite amplitude")
         n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + 1e-12:
+        # a NaN or infinite amplitude makes n2 NaN or inf, so finite states
+        # never pay for the element-wise scan
+        if not n2 <= 1.0 + 1e-12:
+            if not np.all(np.isfinite(amps.view(np.float64))):
+                raise ValueError("non-finite amplitude")
             raise ValueError(f"squared norm {n2} above 1 + 1e-12")
         self.amplitudes = amps
 
@@ -376,6 +379,20 @@ def extend(state: StateVector, spec: SubsystemSpec, levels: dict) -> StateVector
     return StateVector(spec, amps)
 
 
+@lru_cache(maxsize=256)
+def _layout(spec: SubsystemSpec, labels: tuple):
+    """How `labels_first` lays out a state of ``spec``: the axis permutation
+    that brings the labels first, its inverse, the shape with every other
+    subsystem merged into one last axis, and the shape with them apart."""
+    axes = tuple(spec.axis(l) for l in labels)
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"repeated labels {labels}")
+    perm = axes + tuple(a for a in range(len(spec.dims)) if a not in axes)
+    inverse = tuple(perm.index(a) for a in range(len(perm)))
+    split = tuple(spec.dims[a] for a in perm)
+    return perm, inverse, split[: len(axes)] + (-1,), split
+
+
 def labels_first(state: StateVector, labels) -> np.ndarray:
     """Amplitudes with the labels' axes first, in the given order.
 
@@ -383,21 +400,18 @@ def labels_first(state: StateVector, labels) -> np.ndarray:
     subsystem together, in spec order. It is a view where no copy is
     needed, so copy it before writing to it.
     """
-    spec = state.spec
-    axes = [spec.axis(l) for l in labels]
-    moved = np.moveaxis(state.tensor(), axes, range(len(axes)))
-    return moved.reshape([spec.dims[a] for a in axes] + [-1])
+    perm, _, merged, _ = _layout(state.spec, tuple(labels))
+    return state.tensor().transpose(perm).reshape(merged)
 
 
 def from_labels_first(spec: SubsystemSpec, labels, array) -> StateVector:
     """The state whose `labels_first` layout is ``array``."""
-    axes = [spec.axis(l) for l in labels]
-    rest = [d for i, d in enumerate(spec.dims) if i not in axes]
-    lead = np.reshape(array, [spec.dims[a] for a in axes] + rest)
-    return StateVector(spec, np.moveaxis(lead, range(len(axes)), axes))
+    _, inverse, _, split = _layout(spec, tuple(labels))
+    return StateVector(spec, np.reshape(array, split).transpose(inverse))
 
 
-def _check_groups(groups, d):
+@lru_cache(maxsize=64)
+def _check_groups(groups: tuple, d: int) -> tuple:
     groups = tuple(tuple(int(l) for l in g) for g in groups)
     seen = [l for g in groups for l in g]
     if sorted(seen) != list(range(d)):
@@ -416,7 +430,7 @@ def project_subspaces(state: StateVector, label: str, groups, pick):
     index and the collapsed unit state; no other outcome's state is built.
     """
     spec = state.spec
-    groups = _check_groups(groups, spec.dim_of(label))
+    groups = _check_groups(tuple(map(tuple, groups)), spec.dim_of(label))
     moved = labels_first(state, (label,))
     # one zero-padded buffer serves every group, and then the kept one
     comp = np.zeros_like(moved)

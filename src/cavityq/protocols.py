@@ -86,6 +86,16 @@ def _normalized(weights):
     return w / total
 
 
+def _scripted(script, depth, name, n):
+    """The scripted branch at ``depth``, checked against ``n`` outcomes."""
+    idx = script[depth]
+    if not 0 <= idx < n:
+        raise ValueError(
+            f"scripted branch {idx} at {name!r} is not one of its {n} outcomes"
+        )
+    return idx
+
+
 class SampleChooser:
     """Follows a branch script, then samples from an rng stream.
 
@@ -103,7 +113,7 @@ class SampleChooser:
         p = _normalized(weights)
         depth = len(self.trace)
         if depth < len(self.script):
-            idx = self.script[depth]
+            idx = _scripted(self.script, depth, name, len(p))
         else:
             idx = int(self.rng.choice(len(p), p=p))
         self.trace.append(ChoicePoint(name, idx, tuple(map(float, weights))))
@@ -124,7 +134,10 @@ class ScriptedChooser:
     def choose(self, name, weights) -> int:
         p = _normalized(weights)
         depth = len(self.trace)
-        idx = self.script[depth] if depth < len(self.script) else int(np.argmax(p))
+        if depth < len(self.script):
+            idx = _scripted(self.script, depth, name, len(p))
+        else:
+            idx = int(np.argmax(p))
         if p[idx] <= 0.0:
             raise ValueError(
                 f"scripted branch {idx} at {name!r} has zero weight"

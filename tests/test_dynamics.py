@@ -143,6 +143,14 @@ class TestRamanBlock:
         with pytest.raises(ValueError, match="not an atom"):
             raman_hamiltonian(spec, "c1", RamanCoupling(1.0), cavity="c2")
 
+    @pytest.mark.parametrize(
+        "args",
+        [(np.nan,), (np.inf,), (1.0, np.nan), (1.0, -np.inf), (1.0, 0.0, np.inf)],
+    )
+    def test_coupling_parameters_must_be_finite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            RamanCoupling(*args)
+
 
 class TestIdealJointMap:
     """Two full pulses, first atom then second, through a shared cavity."""

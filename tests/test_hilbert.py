@@ -16,6 +16,8 @@ from cavityq.hilbert import (
     apply,
     extend,
     fidelity,
+    from_labels_first,
+    labels_first,
     make_state,
     norm_squared,
     op_sum,
@@ -105,6 +107,35 @@ class TestStates:
         amps[0] = 1.1
         with pytest.raises(ValueError, match="norm"):
             StateVector(spec, amps)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {1: np.nan},
+            {1: complex(0.0, np.nan)},
+            {1: np.inf},
+            {1: -np.inf},
+            {1: complex(0.0, np.inf)},
+            {1: complex(0.0, -np.inf)},
+            {0: 1e200, 1: np.nan},
+            {0: 1e200, 1: 1e200},
+            {0: np.sqrt(1.0 + 2e-12)},
+        ],
+    )
+    def test_rejection_messages(self, entries):
+        # the messages of a validator that scans every entry for
+        # finiteness before it checks the norm
+        spec = atom_cavity_spec()
+        amps = np.zeros(spec.total_dim, dtype=complex)
+        for i, v in entries.items():
+            amps[i] = v
+        if not np.isfinite(amps.view(float)).all():
+            expected = "non-finite amplitude"
+        else:
+            expected = f"squared norm {float(np.vdot(amps, amps).real)} above 1 + 1e-12"
+        with pytest.raises(ValueError) as err:
+            StateVector(spec, amps)
+        assert str(err.value) == expected
 
     def test_subnormalized_is_fine(self):
         spec = atom_cavity_spec()
@@ -335,6 +366,55 @@ def test_extend_commutes_with_apply(case, appended):
     np.testing.assert_allclose(first.amplitudes, then.amplitudes, rtol=0, atol=1e-12)
 
 
+def _moveaxis_labels_first(state, labels):
+    """Reference layout: the labels' axes moved first by np.moveaxis."""
+    spec = state.spec
+    axes = [spec.axis(l) for l in labels]
+    moved = np.moveaxis(state.tensor(), axes, range(len(axes)))
+    return moved.reshape([spec.dims[a] for a in axes] + [-1])
+
+
+def _moveaxis_from_labels_first(spec, labels, array):
+    axes = [spec.axis(l) for l in labels]
+    rest = [d for i, d in enumerate(spec.dims) if i not in axes]
+    lead = np.reshape(array, [spec.dims[a] for a in axes] + rest)
+    return StateVector(spec, np.moveaxis(lead, range(len(axes)), axes))
+
+
+@given(
+    st.lists(st.sampled_from(["atom", "cavity", "bathmode"]), min_size=1, max_size=5),
+    st.data(),
+)
+def test_layout_matches_moveaxis_reference(kinds, data):
+    entries = [(f"r{i}", k) for i, k in enumerate(kinds)]
+    spec = SubsystemSpec(entries)
+    order = data.draw(st.permutations(spec.labels))
+    labels = order[: data.draw(st.integers(0, len(kinds)))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
+    state = StateVector(spec, amps / np.linalg.norm(amps))
+
+    ref = _moveaxis_labels_first(state, labels)
+    # a rebuilt equal spec and a list of labels share the layout
+    for got in (
+        labels_first(state, labels),
+        labels_first(StateVector(SubsystemSpec(entries), state.amplitudes), list(labels)),
+    ):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+        assert np.shares_memory(got, state.amplitudes) == np.shares_memory(
+            ref, state.amplitudes
+        )
+    back = from_labels_first(spec, labels, ref)
+    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
+    other = rng.normal(size=ref.shape) + 1j * rng.normal(size=ref.shape)
+    other /= np.linalg.norm(other)
+    np.testing.assert_array_equal(
+        from_labels_first(spec, list(labels), other).amplitudes,
+        _moveaxis_from_labels_first(spec, labels, other).amplitudes,
+    )
+
+
 def outcomes(state, label, groups):
     """Every outcome of a coarse measurement, each kept in turn:
     (index, weight, collapsed state or None for a zero-weight outcome)."""
@@ -458,6 +538,21 @@ class TestCoarseBranching:
             project_subspaces(s, "a1", [(0, 1), (1, 2)], min)
         with pytest.raises(ValueError, match="partition"):
             project_subspaces(s, "a1", [(0,), (2,)], min)
+
+    def test_groups_as_lists_or_tuples(self):
+        spec = two_atom_spec()
+        s = superpose(
+            [
+                (0.6, make_state(spec, {"a1": 0, "a2": 0})),
+                (0.8, make_state(spec, {"a1": 2, "a2": 1})),
+            ]
+        )
+        for groups in ([[0, 1], [2]], ((0, 1), (2,))):
+            k, post = project_subspaces(s, "a1", groups, np.argmax)
+            assert k == 1
+            np.testing.assert_array_equal(
+                post.amplitudes, make_state(spec, {"a1": 2, "a2": 1}).amplitudes
+            )
 
     def test_sampled_coarse_measurement(self):
         spec = two_atom_spec()

@@ -44,6 +44,21 @@ class TestChoosers:
         with pytest.raises(ValueError, match="zero weight"):
             ch.choose("a", (1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            ScriptedChooser,
+            lambda script: SampleChooser(np.random.default_rng(0), script=script),
+        ],
+        ids=["scripted", "sample"],
+    )
+    @pytest.mark.parametrize("idx", [-2, -1, 3, 5])
+    def test_scripted_index_out_of_range_rejected(self, make, idx):
+        ch = make((idx,))
+        with pytest.raises(ValueError, match=f"branch {idx} at 'm' .* 3 outcomes"):
+            ch.choose("m", (0.2, 0.3, 0.5))
+        assert ch.trace == []
+
     def test_trace_probability(self):
         ch = ScriptedChooser([0, 1])
         ch.choose("a", (0.5, 0.5))
