@@ -1,11 +1,14 @@
 """Lossy photon copy channels with two interchangeable environment backends.
 
 A channel moves one qubit's excitation from a source atom onto a target
-atom through a cavity photon that can be lost on the way. Every channel
-realizes the same three-branch algebra: a survive operator on source |0>,
-a survive-with-copy operator on source |1>, and a loss operator that
-records the photon's disappearance in an environment register while the
-atoms keep the telltale source-kept/target-empty configuration.
+atom through a cavity photon that can be lost on the way. Every channel is
+one `CopyChannel` with the same three-branch algebra: a survive operator
+``l0`` on source |0>, a survive-with-copy operator ``l1`` on source |1>,
+and a loss operator ``la`` that records the photon's disappearance in an
+environment register while the atoms keep the telltale
+source-kept/target-empty configuration. A local channel copies between
+two atoms sharing one cavity; a link channel copies between atoms in
+different cavities over a lossy transmission line.
 
 The "bath" backend runs the real pulse sequence: arm the target, emit with
 an exact transfer pulse, let the photon dwell in the cavity while coupled
@@ -13,7 +16,8 @@ to explicit hard-core modes, reabsorb with a second exact pulse, restore
 the source. Confining leakage to the dwell window keeps both transfers
 exact, so a tuned single resonant mode loses the photon with probability
 sin^2(G * dwell) and nothing else: couplings come from a closed form, not
-a fit. The "analytic" backend replaces the environment with c-numbers and
+a fit. Its branch operators are matrices over the environment registers.
+The "analytic" backend replaces the environment with c-numbers and
 per-use flag registers; it is the twin of the bath backend on a vacuum
 environment and is the only backend that carries the systematic drive
 offsets (detuning, pulse-area error) as pure phases and amplitudes.
@@ -22,6 +26,7 @@ offsets (detuning, pulse-area error) as pure phases and amplitudes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -48,7 +53,6 @@ from .hilbert import (
 )
 
 BACKENDS = ("analytic", "bath")
-ENV_KINDS = ("survive_0", "survive_1", "loss")
 
 DEFAULT_PULSE_RATE = 1.0
 DEFAULT_DWELL = 1.0
@@ -124,121 +128,54 @@ class NoiseConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class BathAction:
-    """One branch's environment map for the bath backend.
-
-    ``labels`` name the environment registers, cavity first; ``matrix``
-    acts on their row-major product basis.
-    """
-
-    labels: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        d = 2 ** len(self.labels)
-        if m.shape != (d, d):
-            raise ValueError(f"environment matrix must be {d}x{d}")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class EnvOperator:
-    """What one channel branch does to the environment.
-
-    Exactly one representation is set: ``scalar`` for the analytic backend,
-    ``action`` for the bath backend.
-    """
-
-    backend: str
-    kind: str
-    scalar: complex | None = None
-    action: BathAction | None = None
-
-    def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.kind not in ENV_KINDS:
-            raise ValueError(f"kind must be one of {ENV_KINDS}")
-        if self.backend == "analytic":
-            if self.scalar is None or self.action is not None:
-                raise ValueError("analytic environment operators hold a scalar")
-            s = complex(self.scalar)
-            object.__setattr__(self, "scalar", s)
-            if abs(s) > 1.0 + 1e-12:
-                raise ValueError("environment scalars cannot exceed unit modulus")
-            if self.kind == "loss" and not (s.imag == 0.0 and s.real >= 0.0):
-                raise ValueError("loss scalars are real and nonnegative")
-        else:
-            if self.action is None or self.scalar is not None:
-                raise ValueError("bath environment operators hold a BathAction")
-
-    @property
-    def norm(self) -> float:
-        """Largest amplification over environment states."""
-        if self.backend == "analytic":
-            return abs(self.scalar)
-        return float(np.linalg.norm(self.action.matrix, 2))
-
-
-def _check_triple(first, second, loss, what):
-    backends = {first.backend, second.backend, loss.backend}
-    if len(backends) != 1:
-        raise ValueError(f"{what} mixes backends")
-    for op, kind in ((first, "survive_0"), (second, "survive_1"), (loss, "loss")):
-        if op.kind != kind:
-            raise ValueError(f"{what} operator order must be {ENV_KINDS}")
-    if first.backend == "analytic":
-        leak = abs(second.scalar) ** 2 + abs(loss.scalar) ** 2
-        if leak > 1.0 + 1e-12:
-            raise ValueError(f"{what} would increase the trace")
-
-
-@dataclass(frozen=True, eq=False)
-class LocalChannel:
-    """Copy channel between two atoms sharing one cavity.
+class CopyChannel:
+    """One lossy copy, within a cavity or over a link, in either backend.
 
     ``l0`` acts when the source holds |0>, ``l1`` scales the successful
     copy, ``la`` scales the loss branch (source restored to |1>, target
-    left in |0>, environment excited). ``metadata`` carries the register
-    names and construction recipe needed to apply or rebuild the channel.
+    left in |0>, environment excited). Analytic channels hold complex
+    scalars and no ``env_labels``; bath channels hold ``2^n x 2^n``
+    matrices on the row-major product basis of their ``n`` environment
+    registers ``env_labels``, cavity first. ``link`` marks an
+    inter-cavity channel, ``duration`` is the dwell window (zero for a
+    link), and ``metadata`` carries the per-slot registers and the
+    construction recipe needed to apply or rebuild the channel.
     """
 
-    l0: EnvOperator
-    l1: EnvOperator
-    la: EnvOperator
+    backend: str
+    link: bool
+    l0: complex | np.ndarray
+    l1: complex | np.ndarray
+    la: complex | np.ndarray
+    env_labels: tuple
     duration: float
     metadata: dict
 
     def __post_init__(self):
-        _check_triple(self.l0, self.l1, self.la, "local channel")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
+        labels = tuple(self.env_labels)
+        if self.backend == "analytic":
+            if labels:
+                raise ValueError("analytic channels have no environment registers")
+            l0, l1, la = (complex(x) for x in (self.l0, self.l1, self.la))
+            if max(abs(l0), abs(l1), abs(la)) > 1.0 + 1e-12:
+                raise ValueError("environment scalars cannot exceed unit modulus")
+            if not (la.imag == 0.0 and la.real >= 0.0):
+                raise ValueError("loss scalars are real and nonnegative")
+            if abs(l1) ** 2 + abs(la) ** 2 > 1.0 + 1e-12:
+                raise ValueError("copy channel would increase the trace")
+        else:
+            d = 2 ** len(labels)
+            l0, l1, la = (
+                np.asarray(x, dtype=np.complex128) for x in (self.l0, self.l1, self.la)
+            )
+            if any(m.shape != (d, d) for m in (l0, l1, la)):
+                raise ValueError(f"environment matrix must be {d}x{d}")
         if self.duration < 0.0:
             raise ValueError("dwell duration must be nonnegative")
-
-    @property
-    def backend(self) -> str:
-        return self.l0.backend
-
-
-@dataclass(frozen=True, eq=False)
-class TransmissionChannel:
-    """Copy channel between atoms in different cavities over a lossy link."""
-
-    t0: EnvOperator
-    t1: EnvOperator
-    ta: EnvOperator
-    eta_trans: float
-    metadata: dict
-
-    def __post_init__(self):
-        _check_triple(self.t0, self.t1, self.ta, "transmission channel")
-        if not 0.0 <= self.eta_trans < 1.0:
-            raise ValueError("eta_trans must lie in [0, 1)")
-
-    @property
-    def backend(self) -> str:
-        return self.t0.backend
+        for name, value in (("env_labels", labels), ("l0", l0), ("l1", l1), ("la", la)):
+            object.__setattr__(self, name, value)
 
 
 def default_loss_bath(eta, dwell=DEFAULT_DWELL, p_therm=0.0) -> BathSpec:
@@ -255,8 +192,19 @@ def default_loss_bath(eta, dwell=DEFAULT_DWELL, p_therm=0.0) -> BathSpec:
     return BathSpec((float(np.arcsin(np.sqrt(eta)) / dwell),), (0.0,), p_therm)
 
 
-def _systematic_scalars(noise: NoiseConfig, g: float):
-    """(survive, copy, loss) c-numbers for one two-pulse copy.
+def loss_bath(noise: NoiseConfig, dwell=DEFAULT_DWELL) -> BathSpec:
+    """The modes one bath-backend dwell window leaks into.
+
+    The explicit bath at the configured occupation when one is given,
+    else a single resonant mode tuned to lose eta_local per window.
+    """
+    if noise.bath is not None:
+        return replace(noise.bath, p_therm=noise.p_therm)
+    return default_loss_bath(noise.eta_local, dwell, noise.p_therm)
+
+
+def _analytic_channel(noise: NoiseConfig, flag_labels, g, eta, link, duration):
+    """c-number copy for one two-pulse transfer losing probability eta.
 
     The target spends one full pulse window parked in the transfer level,
     giving the survive branch the detuning phase exp(-i delta pi / g); the
@@ -264,19 +212,18 @@ def _systematic_scalars(noise: NoiseConfig, g: float):
     the area-error amplitude per pulse. The drive phase offset cancels
     between emission and absorption and never appears.
     """
-    window = np.pi / g
-    phase = np.exp(-1j * noise.delta * window)
+    if not flag_labels:
+        raise ValueError("analytic channels need at least one flag label")
+    survive = np.exp(-1j * noise.delta * (np.pi / g))
     area = np.cos(np.pi * noise.pulse_area_error / 2.0) ** 2
-    return phase, area * phase
-
-
-def _analytic_triple(survive, copy):
+    copy = area * survive * np.sqrt(1.0 - eta)
     loss = np.sqrt(max(0.0, 1.0 - abs(copy) ** 2))
-    return (
-        EnvOperator("analytic", "survive_0", scalar=survive),
-        EnvOperator("analytic", "survive_1", scalar=copy),
-        EnvOperator("analytic", "loss", scalar=loss),
-    )
+    meta = {
+        "flag_labels": tuple(flag_labels),
+        "g": float(g),
+        "phase_offset": noise.phase_offset,
+    }
+    return CopyChannel("analytic", link, survive, copy, loss, (), duration, meta)
 
 
 def _local_pulse_sequence(src, tgt, cavity, g, phase_offset, dwell):
@@ -346,23 +293,24 @@ def _run_trans_wrapper(s, src, tgt, cav_s, cav_t, link, eta, g, phase_offset):
     return optical_pump_r_to_1(s, src)
 
 
-def _extract_env_ops(env_labels, runner):
-    """Column-by-column environment blocks of a copy wrapper.
+def _env_blocks(spec, env_labels, wrapper):
+    """Column-by-column environment blocks (l0, l1, la) of a copy wrapper.
 
-    Runs the wrapper from source levels 0 and 1 for every environment
-    basis state and reads the amplitudes that stay in each atomic block:
-    (0,0) for survive_0, (1,1) for survive_1, (1,0) for loss.
+    Runs the wrapper on ``spec`` from source levels 0 and 1 for every
+    environment basis state and reads the amplitudes that stay in each
+    atomic block: (0,0) for survive_0, (1,1) for survive_1, (1,0) for loss.
     """
-    n_env = len(env_labels)
-    d = 2**n_env
-    blocks = {k: np.zeros((d, d), dtype=complex) for k in ("l0", "l1", "la")}
-    for col, occ in enumerate(itertools.product((0, 1), repeat=n_env)):
+    d = 2 ** len(env_labels)
+    l0, l1, la = (np.zeros((d, d), dtype=complex) for _ in range(3))
+    for col, occ in enumerate(itertools.product((0, 1), repeat=len(env_labels))):
         env = dict(zip(env_labels, occ))
-        out0 = runner(0, env).tensor().reshape(3, 3, d)
-        blocks["l0"][:, col] = out0[0, 0]
-        out1 = runner(1, env).tensor().reshape(3, 3, d)
-        blocks["l1"][:, col] = out1[1, 1]
-        blocks["la"][:, col] = out1[1, 0]
+        out0 = wrapper(make_state(spec, {"_src": 0, "_tgt": 0, **env}))
+        out0 = out0.tensor().reshape(3, 3, d)
+        l0[:, col] = out0[0, 0]
+        out1 = wrapper(make_state(spec, {"_src": 1, "_tgt": 0, **env}))
+        out1 = out1.tensor().reshape(3, 3, d)
+        l1[:, col] = out1[1, 1]
+        la[:, col] = out1[1, 0]
         if not any(occ):
             # vacuum environment: the wrapper must terminate in exactly the
             # two advertised atomic branches
@@ -374,7 +322,22 @@ def _extract_env_ops(env_labels, runner):
             )
             if stray0 > CHANNEL_DOMAIN_TOL or stray1 > CHANNEL_DOMAIN_TOL:
                 raise AssertionError("copy wrapper left stray atomic amplitude")
-    return blocks
+    return l0, l1, la
+
+
+def _local_blocks(cavity, bath_labels, bath, g, phase_offset, dwell):
+    """(l0, l1, la) of one local dwell over (cavity, *bath_labels)."""
+    spec = SubsystemSpec(
+        [("_src", "atom"), ("_tgt", "atom"), (cavity, "cavity")]
+        + [(b, "bathmode") for b in bath_labels]
+    )
+    return _env_blocks(
+        spec,
+        (cavity,) + bath_labels,
+        lambda s: _run_local_wrapper(
+            s, "_src", "_tgt", cavity, bath_labels, bath, g, phase_offset, dwell
+        ),
+    )
 
 
 def make_local_channel(
@@ -385,7 +348,7 @@ def make_local_channel(
     bath_labels=None,
     g=DEFAULT_PULSE_RATE,
     dwell=DEFAULT_DWELL,
-) -> LocalChannel:
+) -> CopyChannel:
     """Build a same-cavity copy channel from a noise configuration.
 
     Analytic backend: pass ``flag_labels``, one loss register per use slot.
@@ -397,17 +360,9 @@ def make_local_channel(
     if g <= 0.0:
         raise ValueError("pulse rate must be positive")
     if noise.backend == "analytic":
-        if not flag_labels:
-            raise ValueError("analytic channels need at least one flag label")
-        survive, copy = _systematic_scalars(noise, g)
-        copy = copy * np.sqrt(1.0 - noise.eta_local)
-        l0, l1, la = _analytic_triple(survive, copy)
-        meta = {
-            "flag_labels": tuple(flag_labels),
-            "g": float(g),
-            "phase_offset": noise.phase_offset,
-        }
-        return LocalChannel(l0, l1, la, float(dwell), meta)
+        return _analytic_channel(
+            noise, flag_labels, g, noise.eta_local, False, float(dwell)
+        )
 
     if cavity is None or not bath_labels:
         raise ValueError("bath channels need cavity and bath_labels")
@@ -416,53 +371,30 @@ def make_local_channel(
         slot_modes = (bath_labels,)
     else:
         slot_modes = tuple(tuple(s) for s in bath_labels)
-    if noise.bath is not None:
-        bath = replace(noise.bath, p_therm=noise.p_therm)
-        tuned_eta = None
-    else:
-        bath = default_loss_bath(noise.eta_local, dwell, noise.p_therm)
-        tuned_eta = noise.eta_local
+    bath = loss_bath(noise, dwell)
     for modes in slot_modes:
         if bath.n_modes != len(modes):
             raise ValueError(
                 f"bath has {bath.n_modes} modes but {len(modes)} labels given"
             )
-    bath_labels = slot_modes[0]
-    spec = SubsystemSpec(
-        [("_src", "atom"), ("_tgt", "atom"), (cavity, "cavity")]
-        + [(b, "bathmode") for b in bath_labels]
+    l0, l1, la = _local_blocks(
+        cavity, slot_modes[0], bath, g, noise.phase_offset, dwell
     )
-    env_labels = (cavity,) + bath_labels
-
-    def runner(src_level, env):
-        init = make_state(spec, {"_src": src_level, "_tgt": 0, **env})
-        return _run_local_wrapper(
-            init, "_src", "_tgt", cavity, bath_labels, bath,
-            g, noise.phase_offset, dwell,
+    vac_copy = l1[0, 0]
+    if noise.bath is None and abs(vac_copy - np.sqrt(1.0 - noise.eta_local)) > 1e-12:
+        raise AssertionError(
+            "tuned bath disagrees with its closed-form survival amplitude"
         )
-
-    blocks = _extract_env_ops(env_labels, runner)
-    vac_copy = blocks["l1"][0, 0]
-    if tuned_eta is not None:
-        expected = np.sqrt(1.0 - tuned_eta)
-        if abs(vac_copy - expected) > 1e-12:
-            raise AssertionError(
-                "tuned bath disagrees with its closed-form survival amplitude"
-            )
     meta = {
         "cavity": cavity,
-        "bath_labels": bath_labels,
         "slot_modes": slot_modes,
         "bath": bath,
         "g": float(g),
         "phase_offset": noise.phase_offset,
         "vacuum_survival": complex(vac_copy),
     }
-    ops = [
-        EnvOperator("bath", kind, action=BathAction(env_labels, blocks[key]))
-        for kind, key in (("survive_0", "l0"), ("survive_1", "l1"), ("loss", "la"))
-    ]
-    return LocalChannel(ops[0], ops[1], ops[2], float(dwell), meta)
+    env_labels = (cavity,) + slot_modes[0]
+    return CopyChannel("bath", False, l0, l1, la, env_labels, float(dwell), meta)
 
 
 def make_transmission_channel(
@@ -473,7 +405,7 @@ def make_transmission_channel(
     cavity_target=None,
     link_labels=None,
     g=DEFAULT_PULSE_RATE,
-) -> TransmissionChannel:
+) -> CopyChannel:
     """Build an inter-cavity copy channel from a noise configuration.
 
     Analytic backend: pass ``flag_labels`` per use slot. Bath backend:
@@ -484,23 +416,14 @@ def make_transmission_channel(
         raise ValueError("pulse rate must be positive")
     eta = noise.eta_trans
     if noise.backend == "analytic":
-        if not flag_labels:
-            raise ValueError("analytic channels need at least one flag label")
-        survive, copy = _systematic_scalars(noise, g)
-        copy = copy * np.sqrt(1.0 - eta)
-        t0, t1, ta = _analytic_triple(survive, copy)
-        meta = {
-            "flag_labels": tuple(flag_labels),
-            "g": float(g),
-            "phase_offset": noise.phase_offset,
-        }
-        return TransmissionChannel(t0, t1, ta, float(eta), meta)
+        return _analytic_channel(noise, flag_labels, g, eta, True, 0.0)
 
     if cavity_source is None or cavity_target is None or not link_labels:
         raise ValueError(
             "bath transmissions need cavity_source, cavity_target, link_labels"
         )
     link_labels = tuple(link_labels)
+    env_labels = (cavity_source, cavity_target, link_labels[0])
     spec = SubsystemSpec(
         [
             ("_src", "atom"),
@@ -510,17 +433,15 @@ def make_transmission_channel(
             (link_labels[0], "bathmode"),
         ]
     )
-    env_labels = (cavity_source, cavity_target, link_labels[0])
-
-    def runner(src_level, env):
-        init = make_state(spec, {"_src": src_level, "_tgt": 0, **env})
-        return _run_trans_wrapper(
-            init, "_src", "_tgt", cavity_source, cavity_target,
+    l0, l1, la = _env_blocks(
+        spec,
+        env_labels,
+        lambda s: _run_trans_wrapper(
+            s, "_src", "_tgt", cavity_source, cavity_target,
             link_labels[0], eta, g, noise.phase_offset,
-        )
-
-    blocks = _extract_env_ops(env_labels, runner)
-    if abs(blocks["l1"][0, 0] - np.sqrt(1.0 - eta)) > 1e-12:
+        ),
+    )
+    if abs(l1[0, 0] - np.sqrt(1.0 - eta)) > 1e-12:
         raise AssertionError(
             "link transmission disagrees with its closed-form survival amplitude"
         )
@@ -528,26 +449,31 @@ def make_transmission_channel(
         "cavity_source": cavity_source,
         "cavity_target": cavity_target,
         "link_labels": link_labels,
+        "eta": float(eta),
         "g": float(g),
         "phase_offset": noise.phase_offset,
     }
-    ops = [
-        EnvOperator("bath", kind, action=BathAction(env_labels, blocks[key]))
-        for kind, key in (("survive_0", "l0"), ("survive_1", "l1"), ("loss", "la"))
-    ]
-    return TransmissionChannel(ops[0], ops[1], ops[2], float(eta), meta)
+    return CopyChannel("bath", True, l0, l1, la, env_labels, 0.0, meta)
 
 
-def validate_channel_pair(local: LocalChannel, trans: TransmissionChannel):
+def _loss_norm(ch: CopyChannel) -> float:
+    """Largest loss amplification over environment states."""
+    if ch.backend == "analytic":
+        return abs(ch.la)
+    return float(np.linalg.norm(ch.la, 2))
+
+
+def validate_channel_pair(local: CopyChannel, trans: CopyChannel):
     """Loss hierarchy sanity check: the link must lose more than the cavity.
 
     Skipped for lossless local channels, where both norms vanish.
     """
-    la = local.la.norm
-    if la > 1e-15 and trans.ta.norm <= la:
+    la = _loss_norm(local)
+    ta = _loss_norm(trans)
+    if la > 1e-15 and ta <= la:
         raise ValueError(
             "transmission loss must dominate local channel loss; "
-            f"got ||Ta|| = {trans.ta.norm:.6g} <= ||La|| = {la:.6g}"
+            f"got ||Ta|| = {ta:.6g} <= ||La|| = {la:.6g}"
         )
 
 
@@ -578,76 +504,62 @@ def _assert_channel_domain(s: StateVector, src: str, tgt: str, *, scalar_map):
         )
 
 
-def _analytic_copy_map(s, src, tgt, flag, survive, copy, loss):
-    """Amplitude surgery for one analytic copy slot.
+def _copy_apply(s: StateVector, ch: CopyChannel, atoms, slot):
+    """Domain check, slot lookup and backend step of either apply.
 
-    Source |0> components scale by the survive c-number whether the target
-    is fresh or parked; source |1> components split into the copy branch
-    and the flagged loss branch. The flag register must be fresh.
-    """
-    moved = labels_first(s, (src, tgt, flag))
-    if np.abs(moved[:, :, 1]).max(initial=0.0) > CHANNEL_DOMAIN_TOL:
-        raise ValueError(f"loss flag {flag!r} is already set")
-    out = np.zeros_like(moved)
-    out[0, 0, 0] = survive * moved[0, 0, 0]
-    out[0, 2, 0] = survive * moved[0, 2, 0]
-    out[1, 1, 0] = copy * moved[1, 0, 0]
-    out[1, 0, 1] = loss * moved[1, 0, 0]
-    return from_labels_first(s.spec, (src, tgt, flag), out)
-
-
-def _slot_label(metadata, key, slot, what):
-    labels = metadata[key]
-    if not 0 <= slot < len(labels):
-        raise ValueError(f"{what} has no register for slot {slot}")
-    return labels[slot]
-
-
-def local_channel_apply(s: StateVector, ch: LocalChannel, atoms, slot=0):
-    """Send one qubit through a local copy channel.
-
-    ``atoms`` is (source, target); ``slot`` picks the loss register for
-    this use. Analytic channels burn one flag per slot; bath channels
-    dwell against that slot's fresh mode set, so a photon lost in an
+    Analytic channels burn one flag per slot; bath channels dwell against
+    that slot's fresh mode set or link register, so a photon lost in an
     earlier window can never be recaptured by a later one.
     """
     src, tgt = atoms
-    _assert_channel_domain(s, src, tgt, scalar_map=ch.backend == "analytic")
-    if ch.backend == "analytic":
-        flag = _slot_label(ch.metadata, "flag_labels", slot, "analytic channel")
-        if s.spec.kind(flag) != "bathmode":
-            raise ValueError(f"{flag!r} is not a flag register")
-        return _analytic_copy_map(
-            s, src, tgt, flag, ch.l0.scalar, ch.l1.scalar, ch.la.scalar
-        )
+    analytic = ch.backend == "analytic"
+    _assert_channel_domain(s, src, tgt, scalar_map=analytic)
     m = ch.metadata
-    modes = _slot_label(m, "slot_modes", slot, "bath channel")
-    return _run_local_wrapper(
-        s, src, tgt, m["cavity"], modes, m["bath"],
-        m["g"], m["phase_offset"], ch.duration,
-    )
+    key = "flag_labels" if analytic else "link_labels" if ch.link else "slot_modes"
+    if not 0 <= slot < len(m[key]):
+        raise ValueError(f"{ch.backend} channel has no register for slot {slot}")
+    reg = m[key][slot]
+    if ch.link and not analytic:
+        return _run_trans_wrapper(
+            s, src, tgt, m["cavity_source"], m["cavity_target"], reg,
+            m["eta"], m["g"], m["phase_offset"],
+        )
+    if not analytic:
+        return _run_local_wrapper(
+            s, src, tgt, m["cavity"], reg, m["bath"],
+            m["g"], m["phase_offset"], ch.duration,
+        )
+    # amplitude surgery: source |0> components scale by the survive
+    # c-number whether the target is fresh or parked; source |1>
+    # components split into the copy branch and the flagged loss branch
+    if s.spec.kind(reg) != "bathmode":
+        raise ValueError(f"{reg!r} is not a flag register")
+    moved = labels_first(s, (src, tgt, reg))
+    if np.abs(moved[:, :, 1]).max(initial=0.0) > CHANNEL_DOMAIN_TOL:
+        raise ValueError(f"loss flag {reg!r} is already set")
+    out = np.zeros_like(moved)
+    out[0, 0, 0] = ch.l0 * moved[0, 0, 0]
+    out[0, 2, 0] = ch.l0 * moved[0, 2, 0]
+    out[1, 1, 0] = ch.l1 * moved[1, 0, 0]
+    out[1, 0, 1] = ch.la * moved[1, 0, 0]
+    return from_labels_first(s.spec, (src, tgt, reg), out)
 
 
-def transmission_apply(s: StateVector, ch: TransmissionChannel, atoms, slot=0):
+def local_channel_apply(s: StateVector, ch: CopyChannel, atoms, slot=0):
+    """Send one qubit through a local copy channel.
+
+    ``atoms`` is (source, target); ``slot`` picks the loss register for
+    this use.
+    """
+    return _copy_apply(s, ch, atoms, slot)
+
+
+def transmission_apply(s: StateVector, ch: CopyChannel, atoms, slot=0):
     """Send one qubit through an inter-cavity transmission channel."""
-    src, tgt = atoms
-    _assert_channel_domain(s, src, tgt, scalar_map=ch.backend == "analytic")
-    if ch.backend == "analytic":
-        flag = _slot_label(ch.metadata, "flag_labels", slot, "analytic channel")
-        if s.spec.kind(flag) != "bathmode":
-            raise ValueError(f"{flag!r} is not a flag register")
-        return _analytic_copy_map(
-            s, src, tgt, flag, ch.t0.scalar, ch.t1.scalar, ch.ta.scalar
-        )
-    m = ch.metadata
-    link = _slot_label(m, "link_labels", slot, "bath transmission")
-    return _run_trans_wrapper(
-        s, src, tgt, m["cavity_source"], m["cavity_target"], link,
-        ch.eta_trans, m["g"], m["phase_offset"],
-    )
+    return _copy_apply(s, ch, atoms, slot)
 
 
-def analytic_from_bath(ch, flag_labels):
+def analytic_from_bath(ch: CopyChannel, flag_labels) -> CopyChannel:
     """Analytic twin of a bath channel, read off its vacuum columns.
 
     The survive amplitudes come straight from the vacuum-to-vacuum matrix
@@ -656,50 +568,25 @@ def analytic_from_bath(ch, flag_labels):
     """
     if ch.backend != "bath":
         raise ValueError("expected a bath-backend channel")
-    if isinstance(ch, LocalChannel):
-        first, second, loss = ch.l0, ch.l1, ch.la
-    else:
-        first, second, loss = ch.t0, ch.t1, ch.ta
-    survive = complex(first.action.matrix[0, 0])
-    copy = complex(second.action.matrix[0, 0])
-    lost = float(np.linalg.norm(loss.action.matrix[:, 0]))
+    copy = complex(ch.l1[0, 0])
+    lost = float(np.linalg.norm(ch.la[:, 0]))
     if abs(abs(copy) ** 2 + lost**2 - 1.0) > 1e-12:
         raise AssertionError("vacuum columns do not close the trace")
-    ops = (
-        EnvOperator("analytic", "survive_0", scalar=survive),
-        EnvOperator("analytic", "survive_1", scalar=copy),
-        EnvOperator("analytic", "loss", scalar=lost),
-    )
     meta = {
         "flag_labels": tuple(flag_labels),
         "g": ch.metadata["g"],
         "phase_offset": ch.metadata["phase_offset"],
     }
-    if isinstance(ch, LocalChannel):
-        return LocalChannel(*ops, ch.duration, meta)
-    return TransmissionChannel(*ops, ch.eta_trans, meta)
-
-
-def _rebuilt_local_ops(ch: LocalChannel, duration):
-    """Environment blocks of a local channel at a different dwell length."""
-    if duration == ch.duration:
-        return ch.l0.action.matrix, ch.l1.action.matrix
-    m = ch.metadata
-    spec = SubsystemSpec(
-        [("_src", "atom"), ("_tgt", "atom"), (m["cavity"], "cavity")]
-        + [(b, "bathmode") for b in m["bath_labels"]]
+    return CopyChannel(
+        "analytic", ch.link, complex(ch.l0[0, 0]), copy, lost, (), ch.duration, meta
     )
-    env_labels = (m["cavity"],) + m["bath_labels"]
 
-    def runner(src_level, env):
-        init = make_state(spec, {"_src": src_level, "_tgt": 0, **env})
-        return _run_local_wrapper(
-            init, "_src", "_tgt", m["cavity"], m["bath_labels"], m["bath"],
-            m["g"], m["phase_offset"], duration,
-        )
 
-    blocks = _extract_env_ops(env_labels, runner)
-    return blocks["l0"], blocks["l1"]
+def _finite_pair(values, name) -> tuple:
+    pair = tuple(float(v) for v in values)
+    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+        raise ValueError(f"{name} must hold two finite values")
+    return pair
 
 
 def check_stationarity(ch, durations=None, start_times=None, p_therm=None):
@@ -710,54 +597,53 @@ def check_stationarity(ch, durations=None, start_times=None, p_therm=None):
     evolution across the gap set by ``start_times``) and returns the RMS
     difference over the thermal occupation ensemble of the modes. Exactly
     zero for c-number environments and for any vacuum bath with equal
-    durations; thermal occupation breaks it.
+    durations; thermal occupation breaks it. Both timing pairs are
+    validated on every backend: finite, nonnegative durations and slots
+    that do not overlap.
     """
-    if isinstance(ch, LocalChannel):
-        first, second = ch.l0, ch.l1
-    elif isinstance(ch, TransmissionChannel):
-        first, second = ch.t0, ch.t1
-    else:
-        raise TypeError("expected a LocalChannel or TransmissionChannel")
+    if not isinstance(ch, CopyChannel):
+        raise TypeError("expected a CopyChannel")
+    d1, d2 = (
+        (ch.duration, ch.duration)
+        if durations is None
+        else _finite_pair(durations, "durations")
+    )
+    if d1 < 0.0 or d2 < 0.0:
+        raise ValueError("durations must be nonnegative")
+    gap = 0.0
+    if start_times is not None:
+        t1, t2 = _finite_pair(start_times, "start_times")
+        gap = t2 - t1 - d1
+        if gap < 0.0:
+            raise ValueError("slots overlap: second start precedes first end")
     if ch.backend == "analytic":
-        a = second.scalar * first.scalar
-        b = first.scalar * second.scalar
-        return float(abs(a - b))
+        return float(abs(ch.l1 * ch.l0 - ch.l0 * ch.l1))
 
-    if isinstance(ch, TransmissionChannel):
-        m0 = (first.action.matrix, first.action.matrix)
-        m1 = (second.action.matrix, second.action.matrix)
-        gap_u = np.eye(m0[0].shape[0])
-        modes = 0
-        p = 0.0
-    else:
-        d1, d2 = durations if durations is not None else (ch.duration, ch.duration)
-        l0_1, l1_1 = _rebuilt_local_ops(ch, d1)
-        l0_2, l1_2 = _rebuilt_local_ops(ch, d2)
-        m0 = (l0_1, l0_2)
-        m1 = (l1_1, l1_2)
-        bath = ch.metadata["bath"]
+    m = ch.metadata
+    gap_u = np.eye(ch.l0.shape[0])
+    modes, p = 0, 0.0
+    if not ch.link:
+        cavity, bath_labels = ch.env_labels[0], ch.env_labels[1:]
+        bath = m["bath"]
         modes = bath.n_modes
         p = bath.p_therm if p_therm is None else p_therm
-        gap = 0.0
-        if start_times is not None:
-            t1, t2 = start_times
-            gap = t2 - t1 - d1
-            if gap < 0.0:
-                raise ValueError("slots overlap: second start precedes first end")
         if gap > 0.0:
             env_spec = SubsystemSpec(
-                [(ch.metadata["cavity"], "cavity")]
-                + [(b, "bathmode") for b in ch.metadata["bath_labels"]]
+                [(cavity, "cavity")] + [(b, "bathmode") for b in bath_labels]
             )
-            h = bath_hamiltonian(
-                env_spec, bath, ch.metadata["cavity"], ch.metadata["bath_labels"]
-            )
+            h = bath_hamiltonian(env_spec, bath, cavity, bath_labels)
             gap_u = propagator(env_spec, h, gap).dense()
-        else:
-            gap_u = np.eye(m0[0].shape[0])
-
-    forward = m1[1] @ gap_u @ m0[0]
-    backward = m0[1] @ gap_u @ m1[0]
+    # (l0, l1) of the first and the second slot; a link has no dwell
+    first, second = (
+        (ch.l0, ch.l1)
+        if ch.link or d == ch.duration
+        else _local_blocks(
+            cavity, bath_labels, bath, m["g"], m["phase_offset"], d
+        )[:2]
+        for d in (d1, d2)
+    )
+    forward = second[1] @ gap_u @ first[0]
+    backward = second[0] @ gap_u @ first[1]
     diff = forward - backward
     total = 0.0
     for occ in itertools.product((0, 1), repeat=modes):

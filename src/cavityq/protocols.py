@@ -20,7 +20,7 @@ chooser object, so the same protocol code serves Monte Carlo sampling and
 exhaustive branch enumeration.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +29,8 @@ from .channels import (
     DEFAULT_DWELL,
     DEFAULT_PULSE_RATE,
     NoiseConfig,
-    default_loss_bath,
     local_channel_apply,
+    loss_bath,
     make_local_channel,
     make_transmission_channel,
     transmission_apply,
@@ -168,9 +168,9 @@ def measure_via(chooser, state, label, groups, name):
 
 def _thermal_assignments(chooser, bath, slot_modes, tag):
     """Initial occupations for per-slot bath modes, one draw per slot."""
+    configs, weights, _ = thermal_configurations(bath)
     out = {}
     for modes in slot_modes:
-        configs, weights, _ = thermal_configurations(bath)
         idx = chooser.choose(f"{tag}:therm:{'+'.join(modes)}", weights)
         out.update(zip(modes, configs[idx]))
     return out
@@ -576,11 +576,7 @@ class GateCircuit:
             return
         self.flags = None
         self.exposures = None
-        self.bath = (
-            replace(noise.bath, p_therm=noise.p_therm)
-            if noise.bath is not None
-            else default_loss_bath(noise.eta_local, dwell, noise.p_therm)
-        )
+        self.bath = loss_bath(noise, dwell)
         n_modes = self.bath.n_modes
         entries = atoms + [("cav", "cavity")]
         if noise.p_therm > 0.0:

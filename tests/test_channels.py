@@ -1,7 +1,11 @@
 """Copy channels: branch structure, closed-form loss, backend agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityq.channels import (
     NoiseConfig,
@@ -203,15 +207,15 @@ class TestLocalChannelAnalytic:
             NoiseConfig(delta=0.3, pulse_area_error=0.1, eta_local=0.05),
             flag_labels=("f0", "f1"),
         )
-        assert ch.l0.scalar == pytest.approx(
+        assert ch.l0 == pytest.approx(
             0.5877852522924731 - 0.8090169943749475j, abs=TOL
         )
-        assert ch.l1.scalar == pytest.approx(
+        assert ch.l1 == pytest.approx(
             0.5588822826216114 - 0.7692354694720468j, abs=TOL
         )
-        assert ch.la.scalar == pytest.approx(0.3097214662850751, abs=TOL)
-        assert ch.la.scalar.imag == 0.0 and ch.la.scalar.real >= 0.0
-        assert abs(ch.l1.scalar) ** 2 + ch.la.scalar.real**2 == pytest.approx(
+        assert ch.la == pytest.approx(0.3097214662850751, abs=TOL)
+        assert ch.la.imag == 0.0 and ch.la.real >= 0.0
+        assert abs(ch.l1) ** 2 + ch.la.real**2 == pytest.approx(
             1.0, abs=TOL
         )
 
@@ -235,8 +239,8 @@ class TestLocalChannelAnalytic:
         b = make_local_channel(
             NoiseConfig(eta_local=0.1, phase_offset=0.7), flag_labels=("f0",)
         )
-        assert a.l1.scalar == pytest.approx(b.l1.scalar, abs=TOL)
-        assert a.l0.scalar == pytest.approx(b.l0.scalar, abs=TOL)
+        assert a.l1 == pytest.approx(b.l1, abs=TOL)
+        assert a.l0 == pytest.approx(b.l0, abs=TOL)
 
     def test_needs_flags(self):
         with pytest.raises(ValueError, match="flag"):
@@ -283,9 +287,9 @@ class TestTransmission:
         ch = make_transmission_channel(
             NoiseConfig(eta_trans=0.2), flag_labels=("ft0",)
         )
-        assert ch.t1.scalar == pytest.approx(np.sqrt(0.8), abs=TOL)
-        assert ch.ta.scalar == pytest.approx(np.sqrt(0.2), abs=TOL)
-        assert ch.t0.scalar == pytest.approx(1.0, abs=TOL)
+        assert ch.l1 == pytest.approx(np.sqrt(0.8), abs=TOL)
+        assert ch.la == pytest.approx(np.sqrt(0.2), abs=TOL)
+        assert ch.l0 == pytest.approx(1.0, abs=TOL)
 
     def test_loss_hierarchy(self):
         trans = make_transmission_channel(
@@ -347,17 +351,84 @@ class TestCrossBackend:
             noise, cavity_source="c1", cavity_target="c2", link_labels=("lnk0",)
         )
         twin = analytic_from_bath(ch, ("f0",))
-        assert twin.t1.scalar == pytest.approx(np.sqrt(0.65), abs=CROSS_TOL)
-        assert twin.ta.scalar == pytest.approx(np.sqrt(0.35), abs=CROSS_TOL)
+        assert twin.l1 == pytest.approx(np.sqrt(0.65), abs=CROSS_TOL)
+        assert twin.la == pytest.approx(np.sqrt(0.35), abs=CROSS_TOL)
 
     def test_twin_closes_trace_for_custom_bath(self):
         ch = bath_local(0.0, bath=SCAN_BATH)
         twin = analytic_from_bath(ch, ("f0",))
         # detuned second mode drags the copy amplitude off the real axis
-        assert abs(twin.l1.scalar.imag) > 1e-3
-        assert abs(twin.l1.scalar) ** 2 + twin.la.scalar.real**2 == pytest.approx(
+        assert abs(twin.l1.imag) > 1e-3
+        assert abs(twin.l1) ** 2 + twin.la.real**2 == pytest.approx(
             1.0, abs=TOL
         )
+
+
+def _vacuum_amplitudes(apply_fn, ch, env):
+    """Survive and copy amplitudes of 0.6|0> + 0.8|1> sent from i to j,
+    read where every ``env`` register is back in vacuum."""
+    spec = SubsystemSpec([("i", "atom"), ("j", "atom")] + env)
+    vac = {label: 0 for label, _ in env}
+    s = superpose(
+        [
+            (0.6, make_state(spec, {"i": 0, "j": 0, **vac})),
+            (0.8, make_state(spec, {"i": 1, "j": 0, **vac})),
+        ]
+    )
+    t = apply_fn(s, ch, ("i", "j")).tensor()
+    return t[0, 0].flat[0], t[1, 1].flat[0]
+
+
+@given(
+    modes=st.lists(
+        st.tuples(st.floats(0.0, 0.6), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    eta_local=st.floats(0.0, 0.9),
+    eta_trans=st.floats(0.0, 0.9),
+    phase_offset=st.floats(-np.pi, np.pi),
+)
+def test_vacuum_trace_closure(modes, eta_local, eta_trans, phase_offset):
+    noise = NoiseConfig(
+        backend="bath",
+        eta_local=eta_local,
+        eta_trans=eta_trans,
+        phase_offset=phase_offset,
+    )
+    labels = tuple(f"b{k}" for k in range(len(modes)))
+    explicit = make_local_channel(
+        replace(noise, bath=BathSpec(*zip(*modes))),
+        cavity="c",
+        bath_labels=labels,
+    )
+    tuned = make_local_channel(noise, cavity="c", bath_labels=("b0",))
+    link = make_transmission_channel(
+        noise, cavity_source="c1", cavity_target="c2", link_labels=("lnk0",)
+    )
+    envs = (
+        [("c", "cavity")] + [(b, "bathmode") for b in labels],
+        [("c", "cavity"), ("b0", "bathmode")],
+        [("c1", "cavity"), ("c2", "cavity"), ("lnk0", "bathmode")],
+    )
+    cases = zip(
+        (explicit, tuned, link),
+        envs,
+        (local_channel_apply, local_channel_apply, transmission_apply),
+    )
+    for ch, env, apply_fn in cases:
+        l0, l1, la = ch.l0, ch.l1, ch.la
+        vacuum = np.zeros(l0.shape[0], dtype=complex)
+        vacuum[0] = 1.0
+        # the loss branch takes exactly the weight the copy misses
+        closure = np.linalg.norm(l1[:, 0]) ** 2 + np.linalg.norm(la[:, 0]) ** 2
+        assert closure == pytest.approx(1.0, abs=TOL)
+        # an empty source leaves the environment in vacuum, untouched
+        np.testing.assert_array_equal(l0[:, 0], vacuum)
+        twin = analytic_from_bath(ch, ("f0",))
+        bath_amps = _vacuum_amplitudes(apply_fn, ch, env)
+        twin_amps = _vacuum_amplitudes(apply_fn, twin, [("f0", "bathmode")])
+        assert twin_amps == pytest.approx(bath_amps, abs=CROSS_TOL)
 
 
 class TestStationarity:
@@ -419,6 +490,14 @@ class TestStationarity:
         assert gapped == pytest.approx(0.10980463540870745, rel=1e-9)
         with pytest.raises(ValueError, match="overlap"):
             check_stationarity(ch, start_times=(0.0, 0.5))
+
+    def test_nan_gap_rejected(self):
+        # NaN fails both gap comparisons; unchecked, it would read as no gap
+        bath = bath_local(0.0, bath=SCAN_BATH)
+        analytic = make_local_channel(NoiseConfig(), flag_labels=("f0",))
+        for ch in (bath, analytic):
+            with pytest.raises(ValueError, match="finite"):
+                check_stationarity(ch, start_times=(0.0, np.nan), p_therm=0.1)
 
     def test_requires_channel_type(self):
         with pytest.raises(TypeError, match="Channel"):

@@ -245,8 +245,31 @@ class TestRunCommand:
                 "noise": {"backend": "bath", "eta_local": 0.2},
                 "protocol_params": {"durations": 7},
             },
+            {
+                "protocol": "stationarity_scan",
+                "noise": {"backend": "bath", "eta_local": 0.2},
+                "protocol_params": {"start_times": [0.0, float("nan")]},
+            },
+            {
+                "protocol": "stationarity_scan",
+                "noise": {"backend": "bath", "eta_local": 0.2},
+                "protocol_params": {"durations": [float("inf"), 1.0]},
+            },
+            {
+                "protocol": "stationarity_scan",
+                "noise": {"backend": "analytic"},
+                "protocol_params": {"durations": [-1.0, 2.0]},
+            },
         ],
-        ids=["amps", "sweep_values", "bath", "durations"],
+        ids=[
+            "amps",
+            "sweep_values",
+            "bath",
+            "durations",
+            "nan_start_time",
+            "infinite_duration",
+            "negative_analytic_duration",
+        ],
     )
     def test_malformed_config_exits_one_without_traceback(self, tmp_path, doc):
         cfg = write_config(tmp_path, doc)
