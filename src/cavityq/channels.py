@@ -34,13 +34,12 @@ import numpy as np
 
 from .dynamics import (
     BathSpec,
-    PulseSchedule,
     bath_hamiltonian,
+    evolve,
     optical_pump_r_to_1,
-    pi_pulse,
     propagator,
-    run_pulses,
     single_atom_op,
+    transfer,
 )
 from .hilbert import (
     LinearOp,
@@ -56,6 +55,15 @@ BACKENDS = ("analytic", "bath")
 
 DEFAULT_PULSE_RATE = 1.0
 DEFAULT_DWELL = 1.0
+# The scalar noise knobs of a NoiseConfig, in config order.
+NOISE_SCALARS = (
+    "eta_local",
+    "eta_trans",
+    "delta",
+    "pulse_area_error",
+    "phase_offset",
+    "p_therm",
+)
 # Channel preconditions are asserted against this amplitude floor.
 CHANNEL_DOMAIN_TOL = 1e-12
 
@@ -101,14 +109,7 @@ class NoiseConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        values = [
-            self.eta_local,
-            self.eta_trans,
-            self.delta,
-            self.pulse_area_error,
-            self.phase_offset,
-            self.p_therm,
-        ]
+        values = [getattr(self, name) for name in NOISE_SCALARS]
         if not np.isfinite(values).all():
             raise ValueError("noise parameters must be finite")
         for name in ("eta_local", "eta_trans", "p_therm"):
@@ -226,26 +227,15 @@ def _analytic_channel(noise: NoiseConfig, flag_labels, g, eta, link, duration):
     return CopyChannel("analytic", link, survive, copy, loss, (), duration, meta)
 
 
-def _local_pulse_sequence(src, tgt, cavity, g, phase_offset, dwell):
-    return PulseSchedule(
-        (
-            pi_pulse(src, g, phase_offset, 0.0, cavity),
-            pi_pulse(tgt, g, phase_offset, 0.0, cavity),
-        ),
-        idle=dwell,
-    )
-
-
 def _run_local_wrapper(s, src, tgt, cavity, bath_labels, bath, g, phase_offset, dwell):
     """Arm target, emit, dwell against the bath, reabsorb, restore source."""
     s = single_atom_op(s, tgt, "exchange_0r")
+    # built even at zero dwell, so its label checks run on every use
     background = bath_hamiltonian(s.spec, bath, cavity, bath_labels)
-    s = run_pulses(
-        s,
-        _local_pulse_sequence(src, tgt, cavity, g, phase_offset, dwell),
-        background=background,
-        concurrent=False,
-    )
+    s = transfer(s, src, cavity, g, phase_offset)
+    if dwell > 0.0:
+        s = evolve(s, background, dwell)
+    s = transfer(s, tgt, cavity, g, phase_offset)
     s = single_atom_op(s, src, "exchange_1r")
     s = single_atom_op(s, tgt, "exchange_0r")
     return optical_pump_r_to_1(s, src)
@@ -284,10 +274,10 @@ def _swap_op(spec, a, b) -> LinearOp:
 def _run_trans_wrapper(s, src, tgt, cav_s, cav_t, link, eta, g, phase_offset):
     """Emit at the source cavity, route through the lossy link, reabsorb."""
     s = single_atom_op(s, tgt, "exchange_0r")
-    s = run_pulses(s, [pi_pulse(src, g, phase_offset, 0.0, cav_s)])
+    s = transfer(s, src, cav_s, g, phase_offset)
     s = apply(_beamsplitter_op(s.spec, cav_s, link, eta), s)
     s = apply(_swap_op(s.spec, cav_s, cav_t), s)
-    s = run_pulses(s, [pi_pulse(tgt, g, phase_offset, 0.0, cav_t)])
+    s = transfer(s, tgt, cav_t, g, phase_offset)
     s = single_atom_op(s, src, "exchange_1r")
     s = single_atom_op(s, tgt, "exchange_0r")
     return optical_pump_r_to_1(s, src)
@@ -327,6 +317,8 @@ def _env_blocks(spec, env_labels, wrapper):
 
 def _local_blocks(cavity, bath_labels, bath, g, phase_offset, dwell):
     """(l0, l1, la) of one local dwell over (cavity, *bath_labels)."""
+    if dwell < 0.0:
+        raise ValueError("dwell must be nonnegative")
     spec = SubsystemSpec(
         [("_src", "atom"), ("_tgt", "atom"), (cavity, "cavity")]
         + [(b, "bathmode") for b in bath_labels]
@@ -599,10 +591,13 @@ def check_stationarity(ch, durations=None, start_times=None, p_therm=None):
     zero for c-number environments and for any vacuum bath with equal
     durations; thermal occupation breaks it. Both timing pairs are
     validated on every backend: finite, nonnegative durations and slots
-    that do not overlap.
+    that do not overlap. A link channel has no dwell window, so it takes
+    no timing at all.
     """
     if not isinstance(ch, CopyChannel):
         raise TypeError("expected a CopyChannel")
+    if ch.link and (durations is not None or start_times is not None):
+        raise ValueError("slot timing does not apply to a link channel")
     d1, d2 = (
         (ch.duration, ch.duration)
         if durations is None
@@ -633,10 +628,10 @@ def check_stationarity(ch, durations=None, start_times=None, p_therm=None):
             )
             h = bath_hamiltonian(env_spec, bath, cavity, bath_labels)
             gap_u = propagator(env_spec, h, gap).dense()
-    # (l0, l1) of the first and the second slot; a link has no dwell
+    # (l0, l1) of the first and the second slot
     first, second = (
         (ch.l0, ch.l1)
-        if ch.link or d == ch.duration
+        if d == ch.duration
         else _local_blocks(
             cavity, bath_labels, bath, m["g"], m["phase_offset"], d
         )[:2]

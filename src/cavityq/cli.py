@@ -32,7 +32,7 @@ from pathlib import Path
 import jsonschema
 
 from . import __version__
-from .channels import BathSpec, NoiseConfig
+from .channels import NOISE_SCALARS, BathSpec, NoiseConfig
 from .experiments import (
     ExperimentConfig,
     run_sweep,
@@ -56,16 +56,7 @@ _CONFIG_KEYS = {
     "protocol_params",
     "sweep",
 }
-_NOISE_KEYS = {
-    "backend",
-    "eta_local",
-    "eta_trans",
-    "delta",
-    "pulse_area_error",
-    "phase_offset",
-    "p_therm",
-    "bath",
-}
+_NOISE_KEYS = {"backend", "bath", *NOISE_SCALARS}
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +105,7 @@ def _parse_noise(doc) -> NoiseConfig:
     kwargs = {}
     if "backend" in doc:
         kwargs["backend"] = doc["backend"]
-    for name in (
-        "eta_local",
-        "eta_trans",
-        "delta",
-        "pulse_area_error",
-        "phase_offset",
-        "p_therm",
-    ):
+    for name in NOISE_SCALARS:
         if name in doc:
             kwargs[name] = _as_number(doc[name], name)
     bath = doc.get("bath")
@@ -257,12 +241,7 @@ def config_document(cfg: ExperimentConfig) -> dict:
         "max_attempts": cfg.max_attempts,
         "noise": {
             "backend": noise.backend,
-            "eta_local": noise.eta_local,
-            "eta_trans": noise.eta_trans,
-            "delta": noise.delta,
-            "pulse_area_error": noise.pulse_area_error,
-            "phase_offset": noise.phase_offset,
-            "p_therm": noise.p_therm,
+            **{name: getattr(noise, name) for name in NOISE_SCALARS},
             "bath": None
             if noise.bath is None
             else {
@@ -522,14 +501,7 @@ def cmd_list_presets(args) -> int:
             f"trials={cfg.trials}",
             f"seed={cfg.seed}",
         ]
-        for name in (
-            "eta_local",
-            "eta_trans",
-            "delta",
-            "pulse_area_error",
-            "phase_offset",
-            "p_therm",
-        ):
+        for name in NOISE_SCALARS:
             value = getattr(noise, name)
             if value != 0.0:
                 fields.append(f"{name}={value!r}")

@@ -7,9 +7,10 @@ back. The |0> level never couples to anything, and a pulse on an atom whose
 cavity is already occupied does nothing (the hard-core mode has nowhere to
 put a second photon).
 
-Cavity photons may additionally leak into explicit hard-core bath modes
-while pulses run; `bath_hamiltonian` builds that coupling and `run_pulses`
-keeps it on concurrently.
+Every protocol is built from one step, `transfer`: a resonant pi pulse on
+one atom. Cavity photons leak into explicit hard-core bath modes only while
+they wait in the cavity between two transfers; `bath_hamiltonian` builds
+that coupling, and a dwell window is `evolve` under it.
 
 Idealized local operations on single atoms (state exchanges, a 0-1 Hadamard,
 a phase flip, incoherent-free repumping of |r> into |1>) are provided as
@@ -42,7 +43,6 @@ from .hilbert import (
     apply,
     from_labels_first,
     labels_first,
-    op_sum,
 )
 
 # Pumping refuses to merge coherent amplitudes above this size.
@@ -84,49 +84,6 @@ class RamanCoupling:
         if self.g == 0.0:
             raise ValueError("pi time undefined for g = 0")
         return float(np.pi / self.g)
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """One timed drive on one atom.
-
-    ``duration=None`` means the full pi time of the coupling. ``cavity``
-    may stay ``None`` when the spec has a single cavity.
-    """
-
-    atom: str
-    coupling: RamanCoupling
-    duration: float | None = None
-    cavity: str | None = None
-
-    @property
-    def resolved_duration(self) -> float:
-        if self.duration is not None:
-            return self.duration
-        return self.coupling.pi_duration
-
-
-def pi_pulse(atom, g=1.0, phase=0.0, detuning=0.0, cavity=None) -> Pulse:
-    """Full-transfer pulse: duration pinned to pi/g."""
-    return Pulse(atom, RamanCoupling(g, phase, detuning), None, cavity)
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Ordered pulse sequence with a fixed idle gap between neighbours."""
-
-    pulses: tuple
-    idle: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        for p in self.pulses:
-            if not isinstance(p, Pulse):
-                raise TypeError("schedule entries must be Pulse instances")
-            if p.resolved_duration <= 0.0:
-                raise ValueError("pulse durations must be positive")
-        if self.idle < 0.0:
-            raise ValueError("idle gap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -323,10 +280,10 @@ def _cached_propagator(spec, recipe: _ByRecipe, duration) -> LinearOp:
 def evolve(state: StateVector, hamiltonian: LinearOp, duration: float) -> StateVector:
     """Evolve a state under a time-independent Hamiltonian.
 
-    The propagator of a Hamiltonian built by `raman_hamiltonian`,
-    `bath_hamiltonian` or `op_sum` of them is diagonalized once per
-    (spec, Hamiltonian recipe, duration) and reused; a hand-built operator
-    has no recipe to key on and is diagonalized on every call.
+    The propagator of a Hamiltonian built by `raman_hamiltonian` or
+    `bath_hamiltonian` is diagonalized once per (spec, Hamiltonian recipe,
+    duration) and reused; a hand-built operator has no recipe to key on
+    and is diagonalized on every call.
     """
     if hamiltonian.key is None:
         u = propagator(state.spec, hamiltonian, duration)
@@ -335,34 +292,16 @@ def evolve(state: StateVector, hamiltonian: LinearOp, duration: float) -> StateV
     return apply(u, state)
 
 
-def run_pulses(
-    state, pulses, background=None, idle=0.0, bath=None, cavity=None, concurrent=True
-) -> StateVector:
-    """Evolve through a pulse sequence.
+def transfer(state: StateVector, atom: str, cavity, g: float, phase=0.0) -> StateVector:
+    """Resonant pi pulse on one atom: one full cavity-assisted transfer.
 
-    ``pulses`` is a PulseSchedule or an iterable of Pulse (then ``idle``
-    sets the gap). ``background`` is a Hamiltonian that stays on during
-    every pulse and during the idle gaps between consecutive pulses;
-    passing ``bath`` builds it from a BathSpec on ``cavity`` instead.
-    With ``concurrent=False`` the background acts only during the idle
-    gaps, so each pulse is an exact bare transfer and leakage is confined
-    to the dwell windows between pulses.
+    Maps |1, empty> to -i e^{-i phase} |r, occupied> and |r, occupied> to
+    -i e^{+i phase} |1, empty>; every other configuration of the atom and
+    its cavity is left alone. The pulse is exact: no bath acts during it.
     """
-    if isinstance(pulses, PulseSchedule):
-        idle = pulses.idle
-        pulses = pulses.pulses
-    if bath is not None:
-        if background is not None:
-            raise ValueError("pass either background or bath, not both")
-        background = bath_hamiltonian(state.spec, bath, cavity)
-    for i, pulse in enumerate(pulses):
-        if i and idle > 0.0 and background is not None:
-            state = evolve(state, background, idle)
-        h = raman_hamiltonian(state.spec, pulse.atom, pulse.coupling, pulse.cavity)
-        if background is not None and concurrent:
-            h = op_sum([h, background])
-        state = evolve(state, h, pulse.resolved_duration)
-    return state
+    coupling = RamanCoupling(g, phase)
+    h = raman_hamiltonian(state.spec, atom, coupling, cavity)
+    return evolve(state, h, coupling.pi_duration)
 
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -401,13 +340,7 @@ def single_atom_operator(spec: SubsystemSpec, atom: str, name: str) -> LinearOp:
 
 
 def single_atom_op(state: StateVector, atom: str, kind: str) -> StateVector:
-    """Apply a named idealized local operation to a state.
-
-    Accepts every unitary kind of `single_atom_operator` plus the
-    non-unitary relabeling kind ``optical_pump_r_to_1``.
-    """
-    if kind == "optical_pump_r_to_1":
-        return optical_pump_r_to_1(state, atom)
+    """Apply a named idealized local unitary (see `single_atom_operator`)."""
     return apply(single_atom_operator(state.spec, atom, kind), state)
 
 
@@ -437,17 +370,15 @@ def optical_pump_r_to_1(state: StateVector, atom: str) -> StateVector:
 
 
 def excitation_number(spec: SubsystemSpec) -> LinearOp:
-    """Conserved charge of the pulsed dynamics.
+    """Conserved charge of the pulsed dynamics, diagonal on the whole spec.
 
     Counts photons, bath excitations, and atoms sitting in |1>. Every drive
     and bath coupling commutes with it; the idealized single-atom ops do
-    not (they relabel levels for free).
+    not (they relabel levels for free). The matrix spans the full product
+    space, so it suits small registers only.
     """
-    terms = []
+    counts = np.zeros(1)
     for s in spec.subsystems:
-        if s.kind == "atom":
-            m = np.diag([0.0, 1.0, 0.0])
-        else:
-            m = np.diag([0.0, 1.0])
-        terms.append(LinearOp(spec, (s.label,), m))
-    return op_sum(terms)
+        level = [0.0, 1.0, 0.0] if s.kind == "atom" else [0.0, 1.0]
+        counts = np.add.outer(counts, level).reshape(-1)
+    return LinearOp(spec, spec.labels, np.diag(counts))

@@ -20,7 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NoiseConfig, check_stationarity, make_local_channel
+from .channels import (
+    NOISE_SCALARS,
+    NoiseConfig,
+    check_stationarity,
+    loss_bath,
+    make_local_channel,
+)
 from .protocols import (
     DEFAULT_JM_AMPS,
     DEFAULT_MAX_ATTEMPTS,
@@ -43,14 +49,7 @@ PROTOCOLS = (
 )
 
 # noise scalars a sweep may vary; each value must yield a valid NoiseConfig
-SWEEP_PARAMETERS = (
-    "eta_local",
-    "eta_trans",
-    "delta",
-    "pulse_area_error",
-    "phase_offset",
-    "p_therm",
-)
+SWEEP_PARAMETERS = NOISE_SCALARS
 
 _PARAM_KEYS = {
     "joint_measure": ("amps",),
@@ -415,11 +414,10 @@ def _scan_deviation(cfg: ExperimentConfig) -> float:
     if noise.backend == "analytic":
         ch = make_local_channel(noise, flag_labels=("fl0", "fl1"))
     else:
-        n = 1 if noise.bath is None else noise.bath.n_modes
         ch = make_local_channel(
             noise,
             cavity="cav",
-            bath_labels=tuple(f"m{k}" for k in range(n)),
+            bath_labels=tuple(f"m{k}" for k in range(loss_bath(noise).n_modes)),
         )
     return check_stationarity(
         ch,

@@ -273,57 +273,6 @@ class LinearOp:
     def is_hermitian(self, tol: float = TOL_EXACT) -> bool:
         return float(np.abs(self._mat - self._mat.conj().T).max()) <= tol
 
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        if self.spec != other.spec:
-            raise ValueError("operator specs differ")
-        if self.support != other.support:
-            raise ValueError(
-                "adding operators with different supports; embed them on a "
-                "common support first"
-            )
-        return LinearOp(self.spec, self.support, self._mat + other._mat)
-
-    def embedded(self, support) -> "LinearOp":
-        """Same operator viewed on a larger support (identity elsewhere)."""
-        support = tuple(support)
-        if set(self.support) - set(support):
-            raise ValueError("new support must contain the old one")
-        if support == self.support:
-            return self
-        order = self.support + tuple(l for l in support if l not in self.support)
-        dims = [self.spec.dim_of(l) for l in order]
-        d = self.support_dim
-        rest = math.prod(dims) // d
-        # kron(matrix, identity), written by assignment so every entry is
-        # an exact copy of the matrix or an exact zero
-        kron = np.zeros((d, rest, d, rest), dtype=np.complex128)
-        diag = np.arange(rest)
-        kron[:, diag, :, diag] = self._mat
-        perm = [order.index(l) for l in support]
-        n = len(order)
-        full = kron.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-        return LinearOp(self.spec, support, full.reshape(d * rest, d * rest))
-
-
-def op_sum(ops) -> LinearOp:
-    """Sum of operators, each embedded on the union of their supports."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("empty operator sum")
-    union: list[str] = []
-    for op in ops:
-        for l in op.support:
-            if l not in union:
-                union.append(l)
-    total = None
-    for op in ops:
-        e = op.embedded(tuple(union))
-        total = e if total is None else total + e
-    keys = tuple(op.key for op in ops)
-    if len(ops) > 1 and None not in keys:
-        total.key = ("sum",) + keys
-    return total
-
 
 def apply(op: LinearOp, state: StateVector) -> StateVector:
     """Apply an operator to a state, acting as identity off its support."""

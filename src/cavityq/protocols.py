@@ -40,10 +40,9 @@ from .dynamics import (
     bath_hamiltonian,
     evolve,
     optical_pump_r_to_1,
-    pi_pulse,
-    raman_hamiltonian,
     single_atom_op,
     thermal_configurations,
+    transfer,
 )
 from .hilbert import (
     StateVector,
@@ -671,21 +670,15 @@ class GateCircuit:
                 +1.0 if identity_signed else -1.0,
             )
         tail = np.pi if identity_signed else 0.0
-        pulses = (
-            pi_pulse("a1", self.g, 0.0, 0.0, "cav"),
-            pi_pulse("a2", self.g, 0.0, 0.0, "cav"),
-            pi_pulse("a2", self.g, tail, 0.0, "cav"),
-            pi_pulse("a1", self.g, tail, 0.0, "cav"),
-        )
+        pulses = (("a1", 0.0), ("a2", 0.0), ("a2", tail), ("a1", tail))
         s = single_atom_op(s, "a2", "exchange_1r")
-        for k, pulse in enumerate(pulses):
+        for k, (atom, phase) in enumerate(pulses):
             if k:
                 h = bath_hamiltonian(
                     s.spec, self.bath, "cav", self.windows[slot][k - 1]
                 )
                 s = evolve(s, h, self.dwell)
-            h = raman_hamiltonian(s.spec, pulse.atom, pulse.coupling, pulse.cavity)
-            s = evolve(s, h, pulse.resolved_duration)
+            s = transfer(s, atom, "cav", self.g, phase)
         return single_atom_op(s, "a2", "exchange_1r")
 
     def ideal_target(self, amps) -> StateVector:

@@ -23,7 +23,7 @@ from cavityq.channels import (
     make_transmission_channel,
     transmission_apply,
 )
-from cavityq.dynamics import BathSpec, pi_pulse, run_pulses
+from cavityq.dynamics import BathSpec, transfer
 from cavityq.experiments import (
     ExperimentConfig,
     attempt_statistics,
@@ -79,9 +79,8 @@ def test_01_ideal_copy_map_amplitudes():
             ({"q1": 1, "q2": 2, "c": 0}, {"q1": 2, "q2": 1, "c": 0}, -1.0),
         ]
         for init, final, amp in lines:
-            out = run_pulses(
-                make_state(spec, init), [pi_pulse("q1"), pi_pulse("q2")]
-            )
+            out = transfer(make_state(spec, init), "q1", "c", 1.0)
+            out = transfer(out, "q2", "c", 1.0)
             expect = superpose([(amp, make_state(spec, final))])
             err = np.abs(out.amplitudes - expect.amplitudes).max()
             assert err < TOL_EXACT, f"input {init}: amplitude error {err}"

@@ -182,6 +182,13 @@ class TestLocalChannelBath:
                 slot=1,
             )
 
+    def test_negative_dwell_rejected(self):
+        # an explicit bath skips the tuned bath's own dwell check, and a
+        # negative dwell would run the bath backwards in time
+        noise = NoiseConfig(backend="bath", bath=BathSpec((0.3,), (0.0,)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_local_channel(noise, cavity="c", bath_labels=("b0",), dwell=-0.5)
+
     def test_domain_violations(self):
         ch = bath_local(0.1)
         spec = bath_pair_spec()
@@ -498,6 +505,23 @@ class TestStationarity:
         for ch in (bath, analytic):
             with pytest.raises(ValueError, match="finite"):
                 check_stationarity(ch, start_times=(0.0, np.nan), p_therm=0.1)
+
+    def test_link_rejects_timing(self):
+        # a link has no dwell window, so no timing can change its answer
+        link = make_transmission_channel(
+            NoiseConfig(backend="bath", eta_trans=0.2),
+            cavity_source="c1",
+            cavity_target="c2",
+            link_labels=("lnk0",),
+        )
+        for timing in (
+            {"durations": (1.0, 5.0)},
+            {"start_times": (0.0, 7.0)},
+            {"durations": (0.0, 0.0), "start_times": (0.0, 0.0)},
+        ):
+            with pytest.raises(ValueError, match="link"):
+                check_stationarity(link, **timing)
+        assert check_stationarity(link) < 1e-14
 
     def test_requires_channel_type(self):
         with pytest.raises(TypeError, match="Channel"):

@@ -1,23 +1,22 @@
-"""Pulse dynamics against closed-form oracles and frozen golden amplitudes."""
+"""Drive and bath dynamics against closed-form oracles and frozen golden amplitudes."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityq.dynamics import (
     BathSpec,
-    Pulse,
-    PulseSchedule,
     RamanCoupling,
     bath_hamiltonian,
     evolve,
     excitation_number,
     optical_pump_r_to_1,
-    pi_pulse,
     propagator,
     raman_hamiltonian,
-    run_pulses,
     single_atom_op,
     single_atom_operator,
+    transfer,
 )
 from cavityq.hilbert import (
     LinearOp,
@@ -27,7 +26,6 @@ from cavityq.hilbert import (
     fidelity,
     make_state,
     norm_squared,
-    op_sum,
     superpose,
 )
 
@@ -52,6 +50,11 @@ def block_oracle(g, phase, detuning, t):
     return np.array([[u11, u12], [u21, u22]])
 
 
+def drive(state, atom, coupling, t):
+    """Evolve under one atom's drive for an arbitrary duration."""
+    return evolve(state, raman_hamiltonian(state.spec, atom, coupling), t)
+
+
 def one_atom_spec():
     return SubsystemSpec([("q", "atom"), ("c", "cavity")])
 
@@ -63,21 +66,19 @@ def two_atom_spec():
 class TestRamanBlock:
     def test_resonant_pi_transfer(self):
         spec = one_atom_spec()
-        out = run_pulses(make_state(spec, {"q": 1, "c": 0}), [pi_pulse("q")])
+        out = transfer(make_state(spec, {"q": 1, "c": 0}), "q", "c", 1.0)
         expect = superpose([(-1j, make_state(spec, {"q": 2, "c": 1}))])
         np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=TOL)
 
     def test_resonant_pi_reverse(self):
         spec = one_atom_spec()
-        out = run_pulses(make_state(spec, {"q": 2, "c": 1}), [pi_pulse("q")])
+        out = transfer(make_state(spec, {"q": 2, "c": 1}), "q", "c", 1.0)
         expect = superpose([(-1j, make_state(spec, {"q": 1, "c": 0}))])
         np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=TOL)
 
     def test_pi_phase_flips_transfer_sign(self):
         spec = one_atom_spec()
-        out = run_pulses(
-            make_state(spec, {"q": 1, "c": 0}), [pi_pulse("q", phase=np.pi)]
-        )
+        out = transfer(make_state(spec, {"q": 1, "c": 0}), "q", "c", 1.0, np.pi)
         expect = superpose([(1j, make_state(spec, {"q": 2, "c": 1}))])
         np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=TOL)
 
@@ -85,21 +86,21 @@ class TestRamanBlock:
         spec = one_atom_spec()
         for photon in (0, 1):
             init = make_state(spec, {"q": 0, "c": photon})
-            out = run_pulses(init, [pi_pulse("q", phase=0.3, detuning=0.7)])
+            out = drive(init, "q", RamanCoupling(1.0, 0.3, 0.7), np.pi)
             np.testing.assert_allclose(out.amplitudes, init.amplitudes, atol=TOL)
 
     def test_occupied_cavity_blocks_transfer(self):
         # |1, occupied> has no second photon slot to emit into
         spec = one_atom_spec()
         init = make_state(spec, {"q": 1, "c": 1})
-        out = run_pulses(init, [pi_pulse("q")])
+        out = transfer(init, "q", "c", 1.0)
         np.testing.assert_allclose(out.amplitudes, init.amplitudes, atol=TOL)
 
     def test_r_with_empty_cavity_gets_detuning_phase(self):
         spec = one_atom_spec()
         g, delta, t = 1.3, 0.4, 2.1
         init = make_state(spec, {"q": 2, "c": 0})
-        out = run_pulses(init, [Pulse("q", RamanCoupling(g, 0.0, delta), t)])
+        out = drive(init, "q", RamanCoupling(g, 0.0, delta), t)
         expect = superpose([(np.exp(-1j * delta * t), init)])
         np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=TOL)
 
@@ -118,7 +119,7 @@ class TestRamanBlock:
             expect = block_oracle(g, phase, delta, t)
             got = np.empty((2, 2), dtype=complex)
             for col, b in enumerate(basis):
-                out = run_pulses(b, [Pulse("q", RamanCoupling(g, phase, delta), t)])
+                out = drive(b, "q", RamanCoupling(g, phase, delta), t)
                 for row, b2 in enumerate(basis):
                     got[row, col] = np.vdot(b2.amplitudes, out.amplitudes)
             np.testing.assert_allclose(got, expect, atol=1e-11)
@@ -129,7 +130,7 @@ class TestRamanBlock:
         delta, t = 0.6, 1.7
         amps = []
         for phase in (0.0, 1.1, np.pi, -2.0):
-            out = run_pulses(init, [Pulse("q", RamanCoupling(1.0, phase, delta), t)])
+            out = drive(init, "q", RamanCoupling(1.0, phase, delta), t)
             amps.append(np.vdot(init.amplitudes, out.amplitudes))
         for a in amps[1:]:
             assert a == pytest.approx(amps[0], abs=TOL)
@@ -166,9 +167,8 @@ class TestIdealJointMap:
     def test_golden_amplitudes(self):
         spec = two_atom_spec()
         for init, final, amp in self.golden_cases():
-            out = run_pulses(
-                make_state(spec, init), [pi_pulse("q1"), pi_pulse("q2")]
-            )
+            out = transfer(make_state(spec, init), "q1", "c", 1.0)
+            out = transfer(out, "q2", "c", 1.0)
             expect = superpose([(amp, make_state(spec, final))])
             np.testing.assert_allclose(
                 out.amplitudes, expect.amplitudes, atol=TOL, err_msg=str(init)
@@ -231,34 +231,70 @@ class TestBathCoupling:
             bath_hamiltonian(spec, bath)
 
 
+def commutator_norm(h):
+    """||[H, N]||, with N the excitation number of H's own support."""
+    own = SubsystemSpec([(l, h.spec.kind(l)) for l in h.support])
+    hd, nd = h.dense(), excitation_number(own).dense()
+    return np.linalg.norm(hd @ nd - nd @ hd, 2)
+
+
+@st.composite
+def _hamiltonians(draw):
+    """A random drive Hamiltonian or a random bath Hamiltonian."""
+    if draw(st.booleans()):
+        coupling = RamanCoupling(
+            draw(st.floats(0.0, 2.0)),
+            draw(st.floats(-np.pi, np.pi)),
+            draw(st.floats(-1.0, 1.0)),
+        )
+        return raman_hamiltonian(one_atom_spec(), "q", coupling)
+    modes = draw(
+        st.lists(st.tuples(st.floats(0.0, 0.6), st.floats(-1.0, 1.0)), max_size=3)
+    )
+    spec = SubsystemSpec(
+        [("c", "cavity")] + [(f"b{k}", "bathmode") for k in range(len(modes))]
+    )
+    bath = BathSpec(tuple(c for c, _ in modes), tuple(d for _, d in modes))
+    return bath_hamiltonian(spec, bath)
+
+
+@given(_hamiltonians())
+def test_hamiltonians_conserve_excitation_number(h):
+    assert h.is_hermitian()
+    assert commutator_norm(h) <= 1e-12
+
+
 class TestConservation:
     def test_drive_plus_bath_commutes_with_excitation_number(self):
         spec = SubsystemSpec(
             [("q", "atom"), ("c", "cavity"), ("b0", "bathmode"), ("b1", "bathmode")]
         )
         bath = BathSpec(couplings=(0.2, 0.4), detunings=(0.1, -0.3))
-        h = op_sum(
-            [
-                raman_hamiltonian(spec, "q", RamanCoupling(1.0, 0.5, 0.2)),
-                bath_hamiltonian(spec, bath),
-            ]
-        )
-        n = excitation_number(spec).embedded(h.support)
-        hd, nd = h.embedded(n.support).dense(), n.dense()
-        assert np.max(np.abs(hd @ nd - nd @ hd)) < TOL
+        for h in (
+            raman_hamiltonian(spec, "q", RamanCoupling(1.0, 0.5, 0.2)),
+            bath_hamiltonian(spec, bath),
+        ):
+            assert commutator_norm(h) < TOL
 
     def test_sector_preserved_under_evolution(self):
         spec = SubsystemSpec([("q", "atom"), ("c", "cavity"), ("b0", "bathmode")])
         bath = BathSpec(couplings=(0.4,), detunings=(0.2,))
         background = bath_hamiltonian(spec, bath)
-        out = run_pulses(
+        out = drive(
             make_state(spec, {"q": 1, "c": 0, "b0": 0}),
-            [pi_pulse("q", detuning=0.3), pi_pulse("q", phase=1.0)],
-            background=background,
-            idle=0.5,
+            "q",
+            RamanCoupling(1.0, 0.0, 0.3),
+            np.pi,
         )
+        out = evolve(out, background, 0.5)
+        out = transfer(out, "q", "c", 1.0, 1.0)
+        out = evolve(out, background, 0.5)
+        # the state is a charge-1 eigenvector, and every occupied
+        # configuration carries exactly one excitation
         n = excitation_number(spec)
-        # every occupied configuration carries exactly one excitation
+        np.testing.assert_allclose(
+            apply(n, out).amplitudes, out.amplitudes, atol=TOL
+        )
         t = out.tensor()
         for idx in np.argwhere(np.abs(t) > TOL):
             q, c, b = idx
@@ -289,50 +325,20 @@ class TestEvolveMechanics:
         with pytest.raises(ValueError, match="Hermitian"):
             propagator(spec, bad, 1.0)
 
-    def test_concurrent_background_with_idle(self):
-        # pulses on a dark atom only expose the photon to the bath; total
-        # exposure is two pi times plus one idle gap
-        spec = SubsystemSpec([("q", "atom"), ("c", "cavity"), ("b0", "bathmode")])
-        g_bath, idle = 0.23, 0.8
-        background = bath_hamiltonian(
-            spec, BathSpec(couplings=(g_bath,), detunings=(0.0,))
-        )
-        out = run_pulses(
-            make_state(spec, {"q": 0, "c": 1, "b0": 0}),
-            [pi_pulse("q"), pi_pulse("q")],
-            background=background,
-            idle=idle,
-        )
-        survival = out.tensor()[0, 1, 0]
-        assert survival == pytest.approx(
-            np.cos(g_bath * (2 * np.pi + idle)), abs=TOL
-        )
-
     def test_gated_background_only_leaks_during_idle(self):
-        # with concurrent=False the pulses are exact bare transfers and the
-        # photon sees the bath only in the single idle window
+        # the transfers are exact and the photon sees the bath only in the
+        # single dwell window between them
         spec = SubsystemSpec([("q", "atom"), ("c", "cavity"), ("b0", "bathmode")])
         g_bath, dwell = 0.31, 1.4
         bath = BathSpec(couplings=(g_bath,), detunings=(0.0,))
-        out = run_pulses(
-            make_state(spec, {"q": 1, "c": 0, "b0": 0}),
-            PulseSchedule((pi_pulse("q"), pi_pulse("q")), idle=dwell),
-            bath=bath,
-            concurrent=False,
-        )
+        out = transfer(make_state(spec, {"q": 1, "c": 0, "b0": 0}), "q", "c", 1.0)
+        out = evolve(out, bath_hamiltonian(spec, bath), dwell)
+        out = transfer(out, "q", "c", 1.0)
         # emit (-i), dwell survival cos(G dwell), reabsorb (-i)
         survived = out.tensor()[1, 0, 0]
         assert survived == pytest.approx(-np.cos(g_bath * dwell), abs=TOL)
         leaked = out.tensor()[2, 0, 1]
         assert abs(leaked) == pytest.approx(abs(np.sin(g_bath * dwell)), abs=TOL)
-
-    def test_schedule_validation(self):
-        with pytest.raises(TypeError, match="Pulse"):
-            PulseSchedule(("not a pulse",))
-        with pytest.raises(ValueError, match="positive"):
-            PulseSchedule((Pulse("q", RamanCoupling(1.0), -1.0),))
-        with pytest.raises(ValueError, match="idle"):
-            PulseSchedule((pi_pulse("q"),), idle=-0.1)
 
     def test_zero_coupling(self):
         assert RamanCoupling(0.0).g == 0.0
@@ -390,7 +396,7 @@ class TestSingleAtomOps:
         out = single_atom_op(s, "q", "exchange_1r")
         expect = superpose([(-1.0, make_state(spec, {"q": 2, "c": 0}))])
         np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=TOL)
-        pumped = single_atom_op(out, "q", "optical_pump_r_to_1")
+        pumped = optical_pump_r_to_1(out, "q")
         expect = superpose([(-1.0, make_state(spec, {"q": 1, "c": 0}))])
         np.testing.assert_allclose(pumped.amplitudes, expect.amplitudes, atol=TOL)
 

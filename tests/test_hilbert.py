@@ -20,7 +20,6 @@ from cavityq.hilbert import (
     labels_first,
     make_state,
     norm_squared,
-    op_sum,
     project_subspaces,
     superpose,
 )
@@ -205,16 +204,6 @@ class TestApply:
         rhs = superpose([(0.3, apply(op, a)), (0.4j, apply(op, b))])
         np.testing.assert_allclose(lhs.amplitudes, rhs.amplitudes, atol=TOL)
 
-    def test_embedded_matches_direct(self):
-        spec = two_atom_spec()
-        op = LinearOp(spec, ("a1",), np.diag([1, -1, 1j]))
-        emb = op.embedded(("a1", "a2"))
-        s = bell(spec)
-        np.testing.assert_allclose(
-            apply(op, s).amplitudes, apply(emb, s).amplitudes, atol=TOL
-        )
-
-
     @pytest.mark.parametrize(
         "shape", [(2, 2), (4, 4), (3, 4), (3,), (9,), (3, 3, 1)]
     )
@@ -274,9 +263,8 @@ def _random_op(spec, support, rng):
 
 @given(_kernel_cases())
 def test_kernel_matches_full_space_reference(case):
-    spec, (sup1, sup2), rng = case
+    spec, (sup1, _), rng = case
     op, m = _random_op(spec, sup1, rng)
-    other, m2 = _random_op(spec, sup2, rng)
     ref = _full_space_matrix(spec, sup1, m)
     amps = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
     state = StateVector(spec, amps / np.linalg.norm(amps))
@@ -285,14 +273,8 @@ def test_kernel_matches_full_space_reference(case):
         apply(op, state).amplitudes, ref @ before, rtol=0, atol=1e-12
     )
     np.testing.assert_array_equal(state.amplitudes, before)
-    np.testing.assert_array_equal(op.embedded(spec.labels).dense(), ref)
-    total = op_sum([op, other]).embedded(spec.labels)
-    np.testing.assert_allclose(
-        total.dense(), ref + _full_space_matrix(spec, sup2, m2), rtol=0, atol=1e-12
-    )
     herm = LinearOp(spec, sup1, m + m.conj().T)
     assert herm.is_hermitian()
-    assert herm.embedded(spec.labels).is_hermitian()
     assert op.is_hermitian() == np.allclose(ref, ref.conj().T, rtol=0, atol=1e-12)
 
 
