@@ -11,16 +11,25 @@ two atoms sharing one cavity; a link channel copies between atoms in
 different cavities over a lossy transmission line.
 
 The "bath" backend runs the real pulse sequence: arm the target, emit with
-an exact transfer pulse, let the photon dwell in the cavity while coupled
-to explicit hard-core modes, reabsorb with a second exact pulse, restore
-the source. Confining leakage to the dwell window keeps both transfers
-exact, so a tuned single resonant mode loses the photon with probability
-sin^2(G * dwell) and nothing else: couplings come from a closed form, not
-a fit. Its branch operators are matrices over the environment registers.
-The "analytic" backend replaces the environment with c-numbers and
-per-use flag registers; it is the twin of the bath backend on a vacuum
-environment and is the only backend that carries the systematic drive
-offsets (detuning, pulse-area error) as pure phases and amplitudes.
+an exact transfer pulse at rate PULSE_RATE, let the photon dwell in the
+cavity for DWELL while coupled to explicit hard-core modes, reabsorb with
+a second exact pulse, restore the source. Confining leakage to the dwell
+window keeps both transfers exact, so a tuned single resonant mode loses
+the photon with probability sin^2(G * DWELL) and nothing else: couplings
+come from a closed form, not a fit. Its branch operators are matrices
+over the environment registers. The "analytic" backend replaces the
+environment with c-numbers and per-use flag registers; it is the twin of
+the bath backend on a vacuum environment and is the only backend that
+carries the systematic drive offsets (detuning, pulse-area error) as pure
+phases and amplitudes.
+
+A channel names its own registers. Its constructor takes one name per
+use slot, and ``CopyChannel.registers`` lists the (label, kind) pairs a
+state needs for every slot. On the analytic backend each slot name is a
+flag register. On the bath backend each slot gets fresh modes of the
+loss bath: a one-mode bath names slot ``s``'s mode ``s`` itself, an
+n-mode bath names them ``{s}m0`` to ``{s}m{n-1}``; a link's slot name is
+its link register.
 """
 
 from __future__ import annotations
@@ -53,8 +62,9 @@ from .hilbert import (
 
 BACKENDS = ("analytic", "bath")
 
-DEFAULT_PULSE_RATE = 1.0
-DEFAULT_DWELL = 1.0
+# the transfer pulse rate and the local dwell window of every channel
+PULSE_RATE = 1.0
+DWELL = 1.0
 # The scalar noise knobs of a NoiseConfig, in config order.
 NOISE_SCALARS = (
     "eta_local",
@@ -137,10 +147,12 @@ class CopyChannel:
     left in |0>, environment excited). Analytic channels hold complex
     scalars and no ``env_labels``; bath channels hold ``2^n x 2^n``
     matrices on the row-major product basis of their ``n`` environment
-    registers ``env_labels``, cavity first. ``link`` marks an
-    inter-cavity channel, ``duration`` is the dwell window (zero for a
-    link), and ``metadata`` carries the per-slot registers and the
-    construction recipe needed to apply or rebuild the channel.
+    registers ``env_labels``, cavity first. ``registers`` lists every
+    (label, kind) pair the channel acts on over all its slots, in
+    register order. ``link`` marks an inter-cavity channel, ``duration``
+    is the dwell window (zero for a link), and ``metadata`` carries the
+    per-slot registers under ``"slots"`` and the construction recipe
+    needed to apply or rebuild the channel.
     """
 
     backend: str
@@ -149,6 +161,7 @@ class CopyChannel:
     l1: complex | np.ndarray
     la: complex | np.ndarray
     env_labels: tuple
+    registers: tuple
     duration: float
     metadata: dict
 
@@ -179,21 +192,19 @@ class CopyChannel:
             object.__setattr__(self, name, value)
 
 
-def default_loss_bath(eta, dwell=DEFAULT_DWELL, p_therm=0.0) -> BathSpec:
+def default_loss_bath(eta, p_therm=0.0) -> BathSpec:
     """Single resonant mode tuned so one dwell window loses probability eta.
 
     The photon exchanges with the mode at rate G for the dwell window, so
-    the leaked weight is sin^2(G * dwell) exactly and G = arcsin(sqrt(eta))
-    / dwell inverts it in closed form.
+    the leaked weight is sin^2(G * DWELL) exactly and G = arcsin(sqrt(eta))
+    / DWELL inverts it in closed form.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    if dwell <= 0.0:
-        raise ValueError("dwell must be positive")
-    return BathSpec((float(np.arcsin(np.sqrt(eta)) / dwell),), (0.0,), p_therm)
+    return BathSpec((float(np.arcsin(np.sqrt(eta)) / DWELL),), (0.0,), p_therm)
 
 
-def loss_bath(noise: NoiseConfig, dwell=DEFAULT_DWELL) -> BathSpec:
+def loss_bath(noise: NoiseConfig) -> BathSpec:
     """The modes one bath-backend dwell window leaks into.
 
     The explicit bath at the configured occupation when one is given,
@@ -201,41 +212,50 @@ def loss_bath(noise: NoiseConfig, dwell=DEFAULT_DWELL) -> BathSpec:
     """
     if noise.bath is not None:
         return replace(noise.bath, p_therm=noise.p_therm)
-    return default_loss_bath(noise.eta_local, dwell, noise.p_therm)
+    return default_loss_bath(noise.eta_local, noise.p_therm)
 
 
-def _analytic_channel(noise: NoiseConfig, flag_labels, g, eta, link, duration):
+def _checked_slots(slots) -> tuple:
+    slots = tuple(slots)
+    if not slots:
+        raise ValueError("copy channels need at least one slot: a flag or mode set")
+    return slots
+
+
+def _flag_channel(link, l0, l1, la, duration, slots) -> CopyChannel:
+    """An analytic channel with one flag register per slot."""
+    slots = _checked_slots(slots)
+    registers = tuple((s, "bathmode") for s in slots)
+    meta = {"slots": slots}
+    return CopyChannel("analytic", link, l0, l1, la, (), registers, duration, meta)
+
+
+def _analytic_channel(noise: NoiseConfig, slots, eta, link, duration):
     """c-number copy for one two-pulse transfer losing probability eta.
 
     The target spends one full pulse window parked in the transfer level,
-    giving the survive branch the detuning phase exp(-i delta pi / g); the
-    copy branch collects the same phase from its two transfer halves plus
-    the area-error amplitude per pulse. The drive phase offset cancels
-    between emission and absorption and never appears.
+    giving the survive branch the detuning phase exp(-i delta pi / g) at
+    g = PULSE_RATE; the copy branch collects the same phase from its two
+    transfer halves plus the area-error amplitude per pulse. The drive
+    phase offset cancels between emission and absorption and never
+    appears.
     """
-    if not flag_labels:
-        raise ValueError("analytic channels need at least one flag label")
-    survive = np.exp(-1j * noise.delta * (np.pi / g))
+    survive = np.exp(-1j * noise.delta * (np.pi / PULSE_RATE))
     area = np.cos(np.pi * noise.pulse_area_error / 2.0) ** 2
     copy = area * survive * np.sqrt(1.0 - eta)
     loss = np.sqrt(max(0.0, 1.0 - abs(copy) ** 2))
-    meta = {
-        "flag_labels": tuple(flag_labels),
-        "g": float(g),
-        "phase_offset": noise.phase_offset,
-    }
-    return CopyChannel("analytic", link, survive, copy, loss, (), duration, meta)
+    return _flag_channel(link, survive, copy, loss, duration, slots)
 
 
-def _run_local_wrapper(s, src, tgt, cavity, bath_labels, bath, g, phase_offset, dwell):
+def _run_local_wrapper(s, src, tgt, cavity, modes, bath, phase_offset, dwell):
     """Arm target, emit, dwell against the bath, reabsorb, restore source."""
     s = single_atom_op(s, tgt, "exchange_0r")
     # built even at zero dwell, so its label checks run on every use
-    background = bath_hamiltonian(s.spec, bath, cavity, bath_labels)
-    s = transfer(s, src, cavity, g, phase_offset)
+    background = bath_hamiltonian(s.spec, bath, cavity, modes)
+    s = transfer(s, src, cavity, PULSE_RATE, phase_offset)
     if dwell > 0.0:
         s = evolve(s, background, dwell)
-    s = transfer(s, tgt, cavity, g, phase_offset)
+    s = transfer(s, tgt, cavity, PULSE_RATE, phase_offset)
     s = single_atom_op(s, src, "exchange_1r")
     s = single_atom_op(s, tgt, "exchange_0r")
     return optical_pump_r_to_1(s, src)
@@ -271,33 +291,36 @@ def _swap_op(spec, a, b) -> LinearOp:
     return LinearOp(spec, (a, b), m)
 
 
-def _run_trans_wrapper(s, src, tgt, cav_s, cav_t, link, eta, g, phase_offset):
+def _run_trans_wrapper(s, src, tgt, cav_s, cav_t, link, eta, phase_offset):
     """Emit at the source cavity, route through the lossy link, reabsorb."""
     s = single_atom_op(s, tgt, "exchange_0r")
-    s = transfer(s, src, cav_s, g, phase_offset)
+    s = transfer(s, src, cav_s, PULSE_RATE, phase_offset)
     s = apply(_beamsplitter_op(s.spec, cav_s, link, eta), s)
     s = apply(_swap_op(s.spec, cav_s, cav_t), s)
-    s = transfer(s, tgt, cav_t, g, phase_offset)
+    s = transfer(s, tgt, cav_t, PULSE_RATE, phase_offset)
     s = single_atom_op(s, src, "exchange_1r")
     s = single_atom_op(s, tgt, "exchange_0r")
     return optical_pump_r_to_1(s, src)
 
 
-def _env_blocks(spec, env_labels, wrapper):
+def _env_blocks(env, wrapper):
     """Column-by-column environment blocks (l0, l1, la) of a copy wrapper.
 
-    Runs the wrapper on ``spec`` from source levels 0 and 1 for every
-    environment basis state and reads the amplitudes that stay in each
-    atomic block: (0,0) for survive_0, (1,1) for survive_1, (1,0) for loss.
+    Runs the wrapper on atoms ``_src``, ``_tgt`` and the (label, kind)
+    pairs ``env`` from source levels 0 and 1 for every environment basis
+    state and reads the amplitudes that stay in each atomic block: (0,0)
+    for survive_0, (1,1) for survive_1, (1,0) for loss.
     """
+    spec = SubsystemSpec([("_src", "atom"), ("_tgt", "atom")] + list(env))
+    env_labels = [label for label, _ in env]
     d = 2 ** len(env_labels)
     l0, l1, la = (np.zeros((d, d), dtype=complex) for _ in range(3))
     for col, occ in enumerate(itertools.product((0, 1), repeat=len(env_labels))):
-        env = dict(zip(env_labels, occ))
-        out0 = wrapper(make_state(spec, {"_src": 0, "_tgt": 0, **env}))
+        levels = dict(zip(env_labels, occ))
+        out0 = wrapper(make_state(spec, {"_src": 0, "_tgt": 0, **levels}))
         out0 = out0.tensor().reshape(3, 3, d)
         l0[:, col] = out0[0, 0]
-        out1 = wrapper(make_state(spec, {"_src": 1, "_tgt": 0, **env}))
+        out1 = wrapper(make_state(spec, {"_src": 1, "_tgt": 0, **levels}))
         out1 = out1.tensor().reshape(3, 3, d)
         l1[:, col] = out1[1, 1]
         la[:, col] = out1[1, 0]
@@ -315,62 +338,45 @@ def _env_blocks(spec, env_labels, wrapper):
     return l0, l1, la
 
 
-def _local_blocks(cavity, bath_labels, bath, g, phase_offset, dwell):
-    """(l0, l1, la) of one local dwell over (cavity, *bath_labels)."""
-    if dwell < 0.0:
-        raise ValueError("dwell must be nonnegative")
-    spec = SubsystemSpec(
-        [("_src", "atom"), ("_tgt", "atom"), (cavity, "cavity")]
-        + [(b, "bathmode") for b in bath_labels]
-    )
+def _local_env(cavity, modes) -> list:
+    return [(cavity, "cavity")] + [(m, "bathmode") for m in modes]
+
+
+def _local_blocks(cavity, modes, bath, phase_offset, dwell):
+    """(l0, l1, la) of one local dwell over (cavity, *modes).
+
+    Callers pass DWELL or a duration `check_stationarity` has checked to
+    be nonnegative, so the bath never runs backwards in time.
+    """
     return _env_blocks(
-        spec,
-        (cavity,) + bath_labels,
+        _local_env(cavity, modes),
         lambda s: _run_local_wrapper(
-            s, "_src", "_tgt", cavity, bath_labels, bath, g, phase_offset, dwell
+            s, "_src", "_tgt", cavity, modes, bath, phase_offset, dwell
         ),
     )
 
 
-def make_local_channel(
-    noise: NoiseConfig,
-    *,
-    flag_labels=None,
-    cavity=None,
-    bath_labels=None,
-    g=DEFAULT_PULSE_RATE,
-    dwell=DEFAULT_DWELL,
-) -> CopyChannel:
+def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
     """Build a same-cavity copy channel from a noise configuration.
 
-    Analytic backend: pass ``flag_labels``, one loss register per use slot.
-    Bath backend: pass the ``cavity`` and ``bath_labels`` the channel will
-    drive; the bath defaults to a single resonant mode tuned to eta_local.
-    ``bath_labels`` is either one slot's mode labels or a tuple of per-slot
-    label tuples; repeated uses need fresh modes per slot.
+    ``cavity`` is the cavity the two atoms share and ``slots`` holds one
+    name per use. On the analytic backend each slot name is a flag
+    register. On the bath backend each slot dwells against fresh modes of
+    `loss_bath`, so a photon lost in one slot is never recaptured in a
+    later one: a one-mode bath names slot ``s``'s mode ``s``, an n-mode
+    bath names them ``{s}m0`` to ``{s}m{n-1}``.
     """
-    if g <= 0.0:
-        raise ValueError("pulse rate must be positive")
     if noise.backend == "analytic":
-        return _analytic_channel(
-            noise, flag_labels, g, noise.eta_local, False, float(dwell)
-        )
+        return _analytic_channel(noise, slots, noise.eta_local, False, DWELL)
 
-    if cavity is None or not bath_labels:
-        raise ValueError("bath channels need cavity and bath_labels")
-    bath_labels = tuple(bath_labels)
-    if all(isinstance(b, str) for b in bath_labels):
-        slot_modes = (bath_labels,)
-    else:
-        slot_modes = tuple(tuple(s) for s in bath_labels)
-    bath = loss_bath(noise, dwell)
-    for modes in slot_modes:
-        if bath.n_modes != len(modes):
-            raise ValueError(
-                f"bath has {bath.n_modes} modes but {len(modes)} labels given"
-            )
+    bath = loss_bath(noise)
+    n = bath.n_modes
+    slot_modes = tuple(
+        (s,) if n == 1 else tuple(f"{s}m{k}" for k in range(n))
+        for s in _checked_slots(slots)
+    )
     l0, l1, la = _local_blocks(
-        cavity, slot_modes[0], bath, g, noise.phase_offset, dwell
+        cavity, slot_modes[0], bath, noise.phase_offset, DWELL
     )
     vac_copy = l1[0, 0]
     if noise.bath is None and abs(vac_copy - np.sqrt(1.0 - noise.eta_local)) > 1e-12:
@@ -378,74 +384,47 @@ def make_local_channel(
             "tuned bath disagrees with its closed-form survival amplitude"
         )
     meta = {
-        "cavity": cavity,
-        "slot_modes": slot_modes,
+        "slots": slot_modes,
         "bath": bath,
-        "g": float(g),
         "phase_offset": noise.phase_offset,
         "vacuum_survival": complex(vac_copy),
     }
     env_labels = (cavity,) + slot_modes[0]
-    return CopyChannel("bath", False, l0, l1, la, env_labels, float(dwell), meta)
+    registers = tuple(_local_env(cavity, sum(slot_modes, ())))
+    return CopyChannel(
+        "bath", False, l0, l1, la, env_labels, registers, DWELL, meta
+    )
 
 
-def make_transmission_channel(
-    noise: NoiseConfig,
-    *,
-    flag_labels=None,
-    cavity_source=None,
-    cavity_target=None,
-    link_labels=None,
-    g=DEFAULT_PULSE_RATE,
-) -> CopyChannel:
+def make_transmission_channel(noise: NoiseConfig, cavities, slots) -> CopyChannel:
     """Build an inter-cavity copy channel from a noise configuration.
 
-    Analytic backend: pass ``flag_labels`` per use slot. Bath backend:
-    pass both cavity labels and ``link_labels``, one fresh link register
-    per use slot.
+    ``cavities`` is the (source, target) cavity pair and ``slots`` holds
+    one name per use. On the analytic backend each slot name is a flag
+    register; on the bath backend it is the link register that slot's
+    lost photon ends up in.
     """
-    if g <= 0.0:
-        raise ValueError("pulse rate must be positive")
     eta = noise.eta_trans
     if noise.backend == "analytic":
-        return _analytic_channel(noise, flag_labels, g, eta, True, 0.0)
+        return _analytic_channel(noise, slots, eta, True, 0.0)
 
-    if cavity_source is None or cavity_target is None or not link_labels:
-        raise ValueError(
-            "bath transmissions need cavity_source, cavity_target, link_labels"
-        )
-    link_labels = tuple(link_labels)
-    env_labels = (cavity_source, cavity_target, link_labels[0])
-    spec = SubsystemSpec(
-        [
-            ("_src", "atom"),
-            ("_tgt", "atom"),
-            (cavity_source, "cavity"),
-            (cavity_target, "cavity"),
-            (link_labels[0], "bathmode"),
-        ]
-    )
+    slots = _checked_slots(slots)
+    source, target = cavities
+    cavity_env = [(source, "cavity"), (target, "cavity")]
     l0, l1, la = _env_blocks(
-        spec,
-        env_labels,
+        cavity_env + [(slots[0], "bathmode")],
         lambda s: _run_trans_wrapper(
-            s, "_src", "_tgt", cavity_source, cavity_target,
-            link_labels[0], eta, g, noise.phase_offset,
+            s, "_src", "_tgt", source, target, slots[0], eta, noise.phase_offset
         ),
     )
     if abs(l1[0, 0] - np.sqrt(1.0 - eta)) > 1e-12:
         raise AssertionError(
             "link transmission disagrees with its closed-form survival amplitude"
         )
-    meta = {
-        "cavity_source": cavity_source,
-        "cavity_target": cavity_target,
-        "link_labels": link_labels,
-        "eta": float(eta),
-        "g": float(g),
-        "phase_offset": noise.phase_offset,
-    }
-    return CopyChannel("bath", True, l0, l1, la, env_labels, 0.0, meta)
+    meta = {"slots": slots, "eta": float(eta), "phase_offset": noise.phase_offset}
+    env_labels = (source, target, slots[0])
+    registers = tuple(cavity_env + [(s, "bathmode") for s in slots])
+    return CopyChannel("bath", True, l0, l1, la, env_labels, registers, 0.0, meta)
 
 
 def _loss_norm(ch: CopyChannel) -> float:
@@ -507,19 +486,18 @@ def _copy_apply(s: StateVector, ch: CopyChannel, atoms, slot):
     analytic = ch.backend == "analytic"
     _assert_channel_domain(s, src, tgt, scalar_map=analytic)
     m = ch.metadata
-    key = "flag_labels" if analytic else "link_labels" if ch.link else "slot_modes"
-    if not 0 <= slot < len(m[key]):
+    if not 0 <= slot < len(m["slots"]):
         raise ValueError(f"{ch.backend} channel has no register for slot {slot}")
-    reg = m[key][slot]
+    reg = m["slots"][slot]
     if ch.link and not analytic:
+        cav_s, cav_t = ch.env_labels[:2]
         return _run_trans_wrapper(
-            s, src, tgt, m["cavity_source"], m["cavity_target"], reg,
-            m["eta"], m["g"], m["phase_offset"],
+            s, src, tgt, cav_s, cav_t, reg, m["eta"], m["phase_offset"]
         )
     if not analytic:
         return _run_local_wrapper(
-            s, src, tgt, m["cavity"], reg, m["bath"],
-            m["g"], m["phase_offset"], ch.duration,
+            s, src, tgt, ch.env_labels[0], reg, m["bath"],
+            m["phase_offset"], ch.duration,
         )
     # amplitude surgery: source |0> components scale by the survive
     # c-number whether the target is fresh or parked; source |1>
@@ -551,12 +529,13 @@ def transmission_apply(s: StateVector, ch: CopyChannel, atoms, slot=0):
     return _copy_apply(s, ch, atoms, slot)
 
 
-def analytic_from_bath(ch: CopyChannel, flag_labels) -> CopyChannel:
+def analytic_from_bath(ch: CopyChannel, slots) -> CopyChannel:
     """Analytic twin of a bath channel, read off its vacuum columns.
 
     The survive amplitudes come straight from the vacuum-to-vacuum matrix
     elements; the loss scalar is the norm of the loss branch's vacuum
-    column, which lands on a flag register instead of the explicit modes.
+    column, which lands on a flag register per slot instead of the
+    explicit modes.
     """
     if ch.backend != "bath":
         raise ValueError("expected a bath-backend channel")
@@ -564,13 +543,8 @@ def analytic_from_bath(ch: CopyChannel, flag_labels) -> CopyChannel:
     lost = float(np.linalg.norm(ch.la[:, 0]))
     if abs(abs(copy) ** 2 + lost**2 - 1.0) > 1e-12:
         raise AssertionError("vacuum columns do not close the trace")
-    meta = {
-        "flag_labels": tuple(flag_labels),
-        "g": ch.metadata["g"],
-        "phase_offset": ch.metadata["phase_offset"],
-    }
-    return CopyChannel(
-        "analytic", ch.link, complex(ch.l0[0, 0]), copy, lost, (), ch.duration, meta
+    return _flag_channel(
+        ch.link, complex(ch.l0[0, 0]), copy, lost, ch.duration, slots
     )
 
 
@@ -581,18 +555,18 @@ def _finite_pair(values, name) -> tuple:
     return pair
 
 
-def check_stationarity(ch, durations=None, start_times=None, p_therm=None):
+def check_stationarity(ch, durations=None, start_times=None):
     """Deviation from slot-order independence of the environment couplings.
 
     Applies the survive and copy environment operators in both orders
     (optionally with different slot durations and free environment
     evolution across the gap set by ``start_times``) and returns the RMS
-    difference over the thermal occupation ensemble of the modes. Exactly
-    zero for c-number environments and for any vacuum bath with equal
-    durations; thermal occupation breaks it. Both timing pairs are
-    validated on every backend: finite, nonnegative durations and slots
-    that do not overlap. A link channel has no dwell window, so it takes
-    no timing at all.
+    difference over the thermal occupation ensemble of the modes, at the
+    occupation the channel's own bath carries. Exactly zero for c-number
+    environments and for any vacuum bath with equal durations; thermal
+    occupation breaks it. Both timing pairs are validated on every
+    backend: finite, nonnegative durations and slots that do not overlap.
+    A link channel has no dwell window, so it takes no timing at all.
     """
     if not isinstance(ch, CopyChannel):
         raise TypeError("expected a CopyChannel")
@@ -616,37 +590,32 @@ def check_stationarity(ch, durations=None, start_times=None, p_therm=None):
 
     m = ch.metadata
     gap_u = np.eye(ch.l0.shape[0])
-    modes, p = 0, 0.0
+    n, p = 0, 0.0
     if not ch.link:
-        cavity, bath_labels = ch.env_labels[0], ch.env_labels[1:]
+        cavity, modes = ch.env_labels[0], ch.env_labels[1:]
         bath = m["bath"]
-        modes = bath.n_modes
-        p = bath.p_therm if p_therm is None else p_therm
+        n, p = bath.n_modes, bath.p_therm
         if gap > 0.0:
-            env_spec = SubsystemSpec(
-                [(cavity, "cavity")] + [(b, "bathmode") for b in bath_labels]
-            )
-            h = bath_hamiltonian(env_spec, bath, cavity, bath_labels)
+            env_spec = SubsystemSpec(_local_env(cavity, modes))
+            h = bath_hamiltonian(env_spec, bath, cavity, modes)
             gap_u = propagator(env_spec, h, gap).dense()
     # (l0, l1) of the first and the second slot
     first, second = (
         (ch.l0, ch.l1)
         if d == ch.duration
-        else _local_blocks(
-            cavity, bath_labels, bath, m["g"], m["phase_offset"], d
-        )[:2]
+        else _local_blocks(cavity, modes, bath, m["phase_offset"], d)[:2]
         for d in (d1, d2)
     )
     forward = second[1] @ gap_u @ first[0]
     backward = second[0] @ gap_u @ first[1]
     diff = forward - backward
     total = 0.0
-    for occ in itertools.product((0, 1), repeat=modes):
+    for occ in itertools.product((0, 1), repeat=n):
         weight = 1.0
         for o in occ:
             weight *= p if o else 1.0 - p
         if weight == 0.0:
             continue
-        col = int(np.ravel_multi_index((0,) + occ, (2,) * (modes + 1)))
+        col = int(np.ravel_multi_index((0,) + occ, (2,) * (n + 1)))
         total += weight * float(np.linalg.norm(diff[:, col]) ** 2)
     return float(np.sqrt(total))

@@ -190,7 +190,7 @@ def raman_hamiltonian(
 
 
 def bath_hamiltonian(
-    spec: SubsystemSpec, bath: BathSpec, cavity=None, bath_labels=None
+    spec: SubsystemSpec, bath: BathSpec, cavity=None, modes=None
 ) -> LinearOp:
     """Photon-exchange coupling of one cavity to its bath modes.
 
@@ -201,28 +201,28 @@ def bath_hamiltonian(
     occupation of the bath does not enter the Hamiltonian.
     """
     cavity = _resolve_cavity(spec, cavity)
-    if bath_labels is None:
-        bath_labels = [s.label for s in spec.subsystems if s.kind == "bathmode"]
+    if modes is None:
+        modes = [s.label for s in spec.subsystems if s.kind == "bathmode"]
     return _bath_hamiltonian(
-        spec, bath.couplings, bath.detunings, cavity, tuple(bath_labels)
+        spec, bath.couplings, bath.detunings, cavity, tuple(modes)
     )
 
 
 @lru_cache(maxsize=128)
-def _bath_hamiltonian(spec, couplings, detunings, cavity, bath_labels) -> LinearOp:
-    for l in bath_labels:
+def _bath_hamiltonian(spec, couplings, detunings, cavity, modes) -> LinearOp:
+    for l in modes:
         if spec.kind(l) != "bathmode":
             raise ValueError(f"{l!r} is not a bath mode")
     n_modes = len(couplings)
-    if len(bath_labels) != n_modes:
+    if len(modes) != n_modes:
         raise ValueError(
-            f"bath has {n_modes} modes but {len(bath_labels)} labels given"
+            f"bath has {n_modes} modes but {len(modes)} labels given"
         )
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     raise_ = lower.T.conj()
     count = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    support = (cavity,) + bath_labels
+    support = (cavity,) + modes
     n = len(support)
     dim = 2**n
     h = np.zeros((dim, dim), dtype=complex)
@@ -239,7 +239,7 @@ def _bath_hamiltonian(spec, couplings, detunings, cavity, bath_labels) -> Linear
         h += term + term.T.conj()
         mats = [eye] + [count if j == k else eye for j in range(n_modes)]
         h += detunings[k] * chain(mats)
-    key = ("bath", spec, couplings, detunings, cavity, bath_labels)
+    key = ("bath", spec, couplings, detunings, cavity, modes)
     return LinearOp(spec, support, h, key)
 
 

@@ -24,7 +24,6 @@ from .channels import (
     NOISE_SCALARS,
     NoiseConfig,
     check_stationarity,
-    loss_bath,
     make_local_channel,
 )
 from .protocols import (
@@ -80,6 +79,11 @@ PROBE_AMPS = (
 )
 
 
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _converted(kind, values, name) -> tuple:
     """``values`` as a tuple of ``kind``; ValueError if they are not."""
     try:
@@ -110,11 +114,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        if not _is_int(self.max_attempts) or self.max_attempts < 1:
             raise ValueError("max_attempts must be a positive integer")
         allowed = _PARAM_KEYS[self.protocol]
         params = dict(self.protocol_params)
@@ -410,15 +414,7 @@ def _run_share(cfg: ExperimentConfig, trials: range) -> tuple:
 
 
 def _scan_deviation(cfg: ExperimentConfig) -> float:
-    noise = cfg.noise
-    if noise.backend == "analytic":
-        ch = make_local_channel(noise, flag_labels=("fl0", "fl1"))
-    else:
-        ch = make_local_channel(
-            noise,
-            cavity="cav",
-            bath_labels=tuple(f"m{k}" for k in range(loss_bath(noise).n_modes)),
-        )
+    ch = make_local_channel(cfg.noise, "cav", ("m",))
     return check_stationarity(
         ch,
         durations=cfg.protocol_params.get("durations"),

@@ -26,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (
-    DEFAULT_DWELL,
-    DEFAULT_PULSE_RATE,
+    DWELL,
+    PULSE_RATE,
     NoiseConfig,
     local_channel_apply,
     loss_bath,
@@ -175,6 +175,20 @@ def _thermal_assignments(chooser, bath, slot_modes, tag):
     return out
 
 
+def _start_levels(channel, chooser, tag) -> dict:
+    """Starting levels of a local channel's registers.
+
+    Every register starts empty, except that a thermal bath's modes take
+    occupations drawn through the chooser, one draw per slot.
+    """
+    levels = {label: 0 for label, _ in channel.registers}
+    bath = channel.metadata.get("bath")
+    if bath is not None and bath.p_therm > 0.0:
+        slots = channel.metadata["slots"]
+        levels.update(_thermal_assignments(chooser, bath, slots, tag))
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # joint measurement
 
@@ -229,28 +243,17 @@ def joint_measure_00(state, pair, herald, channel, chooser, *, slots=(0, 1), tag
 
 
 @lru_cache(maxsize=8)
-def _jm_channel(noise: NoiseConfig, g, dwell):
+def _jm_channel(noise: NoiseConfig):
     """The joint measurement's local channel, built once per configuration."""
-    if noise.backend == "analytic":
-        return make_local_channel(
-            noise, flag_labels=("fl0", "fl1"), g=g, dwell=dwell
-        )
-    return make_local_channel(
-        noise, cavity="cav", bath_labels=(("b0",), ("b1",)), g=g, dwell=dwell
-    )
+    return make_local_channel(noise, "cav", ("b0", "b1"))
 
 
 def run_joint_measure(
-    noise: NoiseConfig,
-    chooser,
-    *,
-    amps=DEFAULT_JM_AMPS,
-    g=DEFAULT_PULSE_RATE,
-    dwell=DEFAULT_DWELL,
+    noise: NoiseConfig, chooser, *, amps=DEFAULT_JM_AMPS
 ) -> JointMeasureOutcome:
     """One joint-measurement trial on a|01> + b|10>.
 
-    Builds the registers for the configured backend, runs the measurement,
+    Builds the atoms and the channel's registers, runs the measurement,
     and scores the heralded state against the input, which an ideal
     measurement returns untouched.
     """
@@ -260,26 +263,9 @@ def run_joint_measure(
         raise ValueError("joint measurement input has zero norm")
     a, b = a / scale, b / scale
     atoms = [("q1", "atom"), ("q2", "atom"), ("herald", "atom")]
-    channel = _jm_channel(noise, g, dwell)
-    if noise.backend == "analytic":
-        spec = SubsystemSpec(
-            atoms + [("fl0", "bathmode"), ("fl1", "bathmode")]
-        )
-        env = {"fl0": 0, "fl1": 0}
-    else:
-        spec = SubsystemSpec(
-            atoms + [("cav", "cavity"), ("b0", "bathmode"), ("b1", "bathmode")]
-        )
-        env = {"cav": 0, "b0": 0, "b1": 0}
-        if noise.p_therm > 0.0:
-            env.update(
-                _thermal_assignments(
-                    chooser,
-                    channel.metadata["bath"],
-                    channel.metadata["slot_modes"],
-                    "jm",
-                )
-            )
+    channel = _jm_channel(noise)
+    spec = SubsystemSpec(atoms + list(channel.registers))
+    env = _start_levels(channel, chooser, "jm")
     state = superpose(
         [
             (a, make_state(spec, {"q1": 0, "q2": 1, "herald": 0, **env})),
@@ -328,62 +314,21 @@ class EprCircuit:
     folds it back into a phase on the pair.
     """
 
-    def __init__(
-        self,
-        noise: NoiseConfig,
-        *,
-        g=DEFAULT_PULSE_RATE,
-        dwell=DEFAULT_DWELL,
-    ):
+    def __init__(self, noise: NoiseConfig):
         self.noise = noise
-        atoms = [
+        atoms = (
             ("a1", "atom"),
             ("a2", "atom"),
             ("aa", "atom"),
             ("herald", "atom"),
-        ]
-        if noise.backend == "analytic":
-            self.spec = SubsystemSpec(
-                atoms
-                + [
-                    ("ft0", "bathmode"),
-                    ("ft1", "bathmode"),
-                    ("fl0", "bathmode"),
-                    ("fl1", "bathmode"),
-                ]
-            )
-            self.trans = make_transmission_channel(
-                noise, flag_labels=("ft0", "ft1"), g=g
-            )
-            self.local = make_local_channel(
-                noise, flag_labels=("fl0", "fl1"), g=g, dwell=dwell
-            )
-        else:
-            self.trans = make_transmission_channel(
-                noise,
-                cavity_source="cav1",
-                cavity_target="cav2",
-                link_labels=("lnk0", "lnk1"),
-                g=g,
-            )
-            self.local = make_local_channel(
-                noise,
-                cavity="cav2",
-                bath_labels=(("b0",), ("b1",)),
-                g=g,
-                dwell=dwell,
-            )
-            self.spec = SubsystemSpec(
-                atoms
-                + [
-                    ("cav1", "cavity"),
-                    ("cav2", "cavity"),
-                    ("lnk0", "bathmode"),
-                    ("lnk1", "bathmode"),
-                    ("b0", "bathmode"),
-                    ("b1", "bathmode"),
-                ]
-            )
+        )
+        self.trans = make_transmission_channel(
+            noise, ("cav1", "cav2"), ("lnk0", "lnk1")
+        )
+        self.local = make_local_channel(noise, "cav2", ("b0", "b1"))
+        # the receiving cavity is in both channels' registers; list it once
+        registers = atoms + self.trans.registers + self.local.registers
+        self.spec = SubsystemSpec(list(dict.fromkeys(registers)))
         validate_channel_pair(self.local, self.trans)
         pair = SubsystemSpec([("a1", "atom"), ("a2", "atom")])
         half = 1.0 / np.sqrt(2.0)
@@ -396,15 +341,7 @@ class EprCircuit:
 
     def fresh_state(self, chooser, tag) -> StateVector:
         init = {label: 0 for label in self.spec.labels}
-        if self.noise.backend == "bath" and self.noise.p_therm > 0.0:
-            init.update(
-                _thermal_assignments(
-                    chooser,
-                    self.local.metadata["bath"],
-                    self.local.metadata["slot_modes"],
-                    tag,
-                )
-            )
+        init.update(_start_levels(self.local, chooser, tag))
         return make_state(self.spec, init)
 
     def attempt(self, chooser, tag) -> JointMeasureOutcome:
@@ -436,13 +373,11 @@ def establish_epr(
     chooser,
     *,
     max_attempts=DEFAULT_MAX_ATTEMPTS,
-    g=DEFAULT_PULSE_RATE,
-    dwell=DEFAULT_DWELL,
 ) -> EprResult:
     """Repeat fresh attempts until the receiver heralds, then fix up."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    circuit = EprCircuit(noise, g=g, dwell=dwell)
+    circuit = EprCircuit(noise)
     return run_epr(circuit, chooser, max_attempts)
 
 
@@ -489,7 +424,7 @@ class GateRunRecord:
     fidelity: float | None
 
 
-def gate_exposures(noise: NoiseConfig, *, g=DEFAULT_PULSE_RATE):
+def gate_exposures(noise: NoiseConfig):
     """Per-input survival amplitudes of one gate application.
 
     The palindrome leaves |00> untouched; |01> only parks in the transfer
@@ -497,7 +432,7 @@ def gate_exposures(noise: NoiseConfig, *, g=DEFAULT_PULSE_RATE):
     all three idle windows; |11> hands the photon to the partner after one
     window and takes it back for the third, paying four transfer halves.
     """
-    window = np.pi / g
+    window = np.pi / PULSE_RATE
     r = np.exp(-1j * noise.delta * window)
     c = np.cos(np.pi * noise.pulse_area_error / 2.0)
     keep = 1.0 - noise.eta_local
@@ -551,17 +486,8 @@ class GateCircuit:
     the vacuum bath keep one register throughout.
     """
 
-    def __init__(
-        self,
-        noise: NoiseConfig,
-        *,
-        g=DEFAULT_PULSE_RATE,
-        dwell=DEFAULT_DWELL,
-        applications=1,
-    ):
+    def __init__(self, noise: NoiseConfig, *, applications=1):
         self.noise = noise
-        self.g = float(g)
-        self.dwell = float(dwell)
         atoms = [("a1", "atom"), ("a2", "atom")]
         if noise.backend == "analytic":
             self.flags = tuple(f"fg{k}" for k in range(applications))
@@ -569,13 +495,13 @@ class GateCircuit:
                 atoms + [(f, "bathmode") for f in self.flags]
             )
             self.specs = (self.spec,) * applications
-            self.exposures = gate_exposures(noise, g=g)
+            self.exposures = gate_exposures(noise)
             self.bath = None
             self.windows = None
             return
         self.flags = None
         self.exposures = None
-        self.bath = loss_bath(noise, dwell)
+        self.bath = loss_bath(noise)
         n_modes = self.bath.n_modes
         entries = atoms + [("cav", "cavity")]
         if noise.p_therm > 0.0:
@@ -677,8 +603,8 @@ class GateCircuit:
                 h = bath_hamiltonian(
                     s.spec, self.bath, "cav", self.windows[slot][k - 1]
                 )
-                s = evolve(s, h, self.dwell)
-            s = transfer(s, atom, "cav", self.g, phase)
+                s = evolve(s, h, DWELL)
+            s = transfer(s, atom, "cav", PULSE_RATE, phase)
         return single_atom_op(s, "a2", "exchange_1r")
 
     def ideal_target(self, amps) -> StateVector:
@@ -704,8 +630,6 @@ def run_gate(
     *,
     amps,
     purified=True,
-    g=DEFAULT_PULSE_RATE,
-    dwell=DEFAULT_DWELL,
 ) -> GateRunRecord:
     """Run the phase gate on the given input amplitudes.
 
@@ -719,11 +643,11 @@ def run_gate(
     frame sandwich to the same overall phase action.
     """
     if not purified:
-        circ = GateCircuit(noise, g=g, dwell=dwell, applications=1)
+        circ = GateCircuit(noise, applications=1)
         s = circ.initial_state(amps, circ.draw_levels(chooser))
         s = circ.apply(s, slot=0)
         return GateRunRecord(True, None, s, fidelity(s, circ.ideal_target(amps)))
-    circ = GateCircuit(noise, g=g, dwell=dwell, applications=4)
+    circ = GateCircuit(noise, applications=4)
     levels = circ.draw_levels(chooser)
     s = circ.initial_state(amps, levels)
     for k in range(4):

@@ -55,12 +55,10 @@ def budget(seconds):
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
-def local_bath_channel(eta, bath=None):
-    noise = NoiseConfig(backend="bath", eta_local=eta, bath=bath)
-    labels = (
-        ("b0",) if bath is None else tuple(f"b{k}" for k in range(bath.n_modes))
-    )
-    return make_local_channel(noise, cavity="c", bath_labels=labels)
+def local_bath_channel(eta, bath=None, p_therm=0.0):
+    noise = NoiseConfig(backend="bath", eta_local=eta, bath=bath, p_therm=p_therm)
+    # slot "b0" names one tuned mode b0; slot "b" names n modes bm0, bm1, ...
+    return make_local_channel(noise, "c", ("b0",) if bath is None else ("b",))
 
 
 def random_pair_amps(rng):
@@ -111,9 +109,8 @@ def test_03_stationarity_vacuum_vs_thermal():
             assert check_stationarity(local_bath_channel(eta)) < TOL_EXACT
         trans = make_transmission_channel(
             NoiseConfig(backend="bath", eta_trans=0.2),
-            cavity_source="c1",
-            cavity_target="c2",
-            link_labels=("lnk0",),
+            ("c1", "c2"),
+            ("lnk0",),
         )
         assert check_stationarity(trans) < TOL_EXACT
         for scalars in (
@@ -122,12 +119,12 @@ def test_03_stationarity_vacuum_vs_thermal():
             {"phase_offset": 0.7},
             {"delta": 0.2, "pulse_area_error": -0.03, "phase_offset": 1.1},
         ):
-            ch = make_local_channel(
-                NoiseConfig(**scalars), flag_labels=("fl0",)
-            )
+            ch = make_local_channel(NoiseConfig(**scalars), "c", ("fl0",))
             assert check_stationarity(ch) < TOL_EXACT, scalars
-        thermal = local_bath_channel(0.2, bath=SCAN_BATH)
-        devs = [check_stationarity(thermal, p_therm=p) for p in THERM_GRID]
+        devs = [
+            check_stationarity(local_bath_channel(0.2, SCAN_BATH, p))
+            for p in THERM_GRID
+        ]
         assert devs[0] < TOL_EXACT
         assert devs[-1] > 1e-4, f"thermal deviation {devs[-1]} too small"
         assert all(a <= b + TOL_EXACT for a, b in zip(devs, devs[1:])), devs
@@ -329,12 +326,12 @@ def test_07_analytic_twin_reproduces_bath_amplitudes():
                 ("i", "atom"),
                 ("j", "atom"),
                 ("c", "cavity"),
-                ("b0", "bathmode"),
-                ("b1", "bathmode"),
+                ("bm0", "bathmode"),
+                ("bm1", "bathmode"),
             ]
         )
         for _ in range(5):
-            sb, sa = states(spec_b, ("i", "j", "c", "b0", "b1"))
+            sb, sa = states(spec_b, ("i", "j", "c", "bm0", "bm1"))
             tb = local_channel_apply(sb, ch, ("i", "j")).tensor()
             ta = local_channel_apply(sa, twin, ("i", "j")).tensor()
             assert abs(ta[1, 1, 0] - tb[1, 1, 0, 0, 0]) < TOL_CROSS
@@ -346,9 +343,8 @@ def test_07_analytic_twin_reproduces_bath_amplitudes():
         for eta in (0.05, 0.2, 0.35):
             ch = make_transmission_channel(
                 NoiseConfig(backend="bath", eta_trans=eta),
-                cavity_source="c1",
-                cavity_target="c2",
-                link_labels=("lnk0",),
+                ("c1", "c2"),
+                ("lnk0",),
             )
             twin = analytic_from_bath(ch, ("f0",))
             spec_b = SubsystemSpec(

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cavityq.channels import (
+    DWELL,
     NoiseConfig,
     analytic_from_bath,
     check_stationarity,
@@ -49,8 +50,7 @@ def bath_local(eta, p_therm=0.0, bath=None):
     noise = NoiseConfig(
         backend="bath", eta_local=eta, p_therm=p_therm, bath=bath
     )
-    labels = ("b0",) if bath is None else tuple(f"b{k}" for k in range(bath.n_modes))
-    return make_local_channel(noise, cavity="c", bath_labels=labels)
+    return make_local_channel(noise, "c", ("b0",))
 
 
 class TestNoiseConfig:
@@ -147,9 +147,7 @@ class TestLocalChannelBath:
         # slot 0 must stay in slot 0's mode, otherwise it re-enters the
         # cavity during slot 1 and the armed target absorbs it
         noise = NoiseConfig(backend="bath", eta_local=0.2)
-        ch = make_local_channel(
-            noise, cavity="c", bath_labels=(("b0",), ("b1",))
-        )
+        ch = make_local_channel(noise, "c", ("b0", "b1"))
         spec = SubsystemSpec(
             [
                 ("i", "atom"),
@@ -182,13 +180,6 @@ class TestLocalChannelBath:
                 slot=1,
             )
 
-    def test_negative_dwell_rejected(self):
-        # an explicit bath skips the tuned bath's own dwell check, and a
-        # negative dwell would run the bath backwards in time
-        noise = NoiseConfig(backend="bath", bath=BathSpec((0.3,), (0.0,)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            make_local_channel(noise, cavity="c", bath_labels=("b0",), dwell=-0.5)
-
     def test_domain_violations(self):
         ch = bath_local(0.1)
         spec = bath_pair_spec()
@@ -212,7 +203,8 @@ class TestLocalChannelAnalytic:
         # survive exp(-0.3 i pi), copy sqrt(0.95) cos^2(pi/20) exp(-0.3 i pi)
         ch = make_local_channel(
             NoiseConfig(delta=0.3, pulse_area_error=0.1, eta_local=0.05),
-            flag_labels=("f0", "f1"),
+            "c",
+            ("f0", "f1"),
         )
         assert ch.l0 == pytest.approx(
             0.5877852522924731 - 0.8090169943749475j, abs=TOL
@@ -228,7 +220,7 @@ class TestLocalChannelAnalytic:
 
     def test_flag_slots(self):
         ch = make_local_channel(
-            NoiseConfig(eta_local=0.2), flag_labels=("f0", "f1")
+            NoiseConfig(eta_local=0.2), "c", ("f0", "f1")
         )
         spec = analytic_pair_spec()
         s = make_state(spec, {"i": 1, "j": 0, "f0": 0, "f1": 0})
@@ -242,22 +234,22 @@ class TestLocalChannelAnalytic:
             local_channel_apply(s, ch, ("i", "j"), slot=2)
 
     def test_phase_offset_drops_out(self):
-        a = make_local_channel(NoiseConfig(eta_local=0.1), flag_labels=("f0",))
+        a = make_local_channel(NoiseConfig(eta_local=0.1), "c", ("f0",))
         b = make_local_channel(
-            NoiseConfig(eta_local=0.1, phase_offset=0.7), flag_labels=("f0",)
+            NoiseConfig(eta_local=0.1, phase_offset=0.7), "c", ("f0",)
         )
         assert a.l1 == pytest.approx(b.l1, abs=TOL)
         assert a.l0 == pytest.approx(b.l0, abs=TOL)
 
     def test_needs_flags(self):
         with pytest.raises(ValueError, match="flag"):
-            make_local_channel(NoiseConfig(eta_local=0.1))
+            make_local_channel(NoiseConfig(eta_local=0.1), "c", ())
 
     def test_parked_emission_unrepresentable(self):
         # the scalar surgery has no rule for an occupied source feeding a
         # parked target; the bath wrapper, a plain unitary, allows it
         ch = make_local_channel(
-            NoiseConfig(eta_local=0.1), flag_labels=("f0", "f1")
+            NoiseConfig(eta_local=0.1), "c", ("f0", "f1")
         )
         s = make_state(
             analytic_pair_spec(), {"i": 1, "j": 2, "f0": 0, "f1": 0}
@@ -270,7 +262,7 @@ class TestTransmission:
     def test_bath_link_amplitudes(self):
         noise = NoiseConfig(backend="bath", eta_trans=0.2)
         ch = make_transmission_channel(
-            noise, cavity_source="c1", cavity_target="c2", link_labels=("lnk0",)
+            noise, ("c1", "c2"), ("lnk0",)
         )
         spec = SubsystemSpec(
             [
@@ -292,7 +284,7 @@ class TestTransmission:
 
     def test_analytic_scalars(self):
         ch = make_transmission_channel(
-            NoiseConfig(eta_trans=0.2), flag_labels=("ft0",)
+            NoiseConfig(eta_trans=0.2), ("c1", "c2"), ("ft0",)
         )
         assert ch.l1 == pytest.approx(np.sqrt(0.8), abs=TOL)
         assert ch.la == pytest.approx(np.sqrt(0.2), abs=TOL)
@@ -300,23 +292,23 @@ class TestTransmission:
 
     def test_loss_hierarchy(self):
         trans = make_transmission_channel(
-            NoiseConfig(eta_trans=0.2), flag_labels=("ft",)
+            NoiseConfig(eta_trans=0.2), ("c1", "c2"), ("ft",)
         )
         validate_channel_pair(
-            make_local_channel(NoiseConfig(eta_local=0.05), flag_labels=("fl",)),
+            make_local_channel(NoiseConfig(eta_local=0.05), "c", ("fl",)),
             trans,
         )
         with pytest.raises(ValueError, match="dominate"):
             validate_channel_pair(
                 make_local_channel(
-                    NoiseConfig(eta_local=0.3), flag_labels=("fl",)
+                    NoiseConfig(eta_local=0.3), "c", ("fl",)
                 ),
                 trans,
             )
         # lossless pair is fine: nothing to dominate
         validate_channel_pair(
-            make_local_channel(NoiseConfig(), flag_labels=("fl",)),
-            make_transmission_channel(NoiseConfig(), flag_labels=("ft",)),
+            make_local_channel(NoiseConfig(), "c", ("fl",)),
+            make_transmission_channel(NoiseConfig(), ("c1", "c2"), ("ft",)),
         )
 
 
@@ -355,7 +347,7 @@ class TestCrossBackend:
     def test_twin_matches_bath_transmission(self):
         noise = NoiseConfig(backend="bath", eta_trans=0.35)
         ch = make_transmission_channel(
-            noise, cavity_source="c1", cavity_target="c2", link_labels=("lnk0",)
+            noise, ("c1", "c2"), ("lnk0",)
         )
         twin = analytic_from_bath(ch, ("f0",))
         assert twin.l1 == pytest.approx(np.sqrt(0.65), abs=CROSS_TOL)
@@ -403,27 +395,18 @@ def test_vacuum_trace_closure(modes, eta_local, eta_trans, phase_offset):
         eta_trans=eta_trans,
         phase_offset=phase_offset,
     )
-    labels = tuple(f"b{k}" for k in range(len(modes)))
     explicit = make_local_channel(
-        replace(noise, bath=BathSpec(*zip(*modes))),
-        cavity="c",
-        bath_labels=labels,
+        replace(noise, bath=BathSpec(*zip(*modes))), "c", ("b",)
     )
-    tuned = make_local_channel(noise, cavity="c", bath_labels=("b0",))
+    tuned = make_local_channel(noise, "c", ("b0",))
     link = make_transmission_channel(
-        noise, cavity_source="c1", cavity_target="c2", link_labels=("lnk0",)
-    )
-    envs = (
-        [("c", "cavity")] + [(b, "bathmode") for b in labels],
-        [("c", "cavity"), ("b0", "bathmode")],
-        [("c1", "cavity"), ("c2", "cavity"), ("lnk0", "bathmode")],
+        noise, ("c1", "c2"), ("lnk0",)
     )
     cases = zip(
         (explicit, tuned, link),
-        envs,
         (local_channel_apply, local_channel_apply, transmission_apply),
     )
-    for ch, env, apply_fn in cases:
+    for ch, apply_fn in cases:
         l0, l1, la = ch.l0, ch.l1, ch.la
         vacuum = np.zeros(l0.shape[0], dtype=complex)
         vacuum[0] = 1.0
@@ -433,7 +416,7 @@ def test_vacuum_trace_closure(modes, eta_local, eta_trans, phase_offset):
         # an empty source leaves the environment in vacuum, untouched
         np.testing.assert_array_equal(l0[:, 0], vacuum)
         twin = analytic_from_bath(ch, ("f0",))
-        bath_amps = _vacuum_amplitudes(apply_fn, ch, env)
+        bath_amps = _vacuum_amplitudes(apply_fn, ch, list(ch.registers))
         twin_amps = _vacuum_amplitudes(apply_fn, twin, [("f0", "bathmode")])
         assert twin_amps == pytest.approx(bath_amps, abs=CROSS_TOL)
 
@@ -444,16 +427,16 @@ class TestStationarity:
             assert check_stationarity(bath_local(eta)) < 1e-14
         trans = make_transmission_channel(
             NoiseConfig(backend="bath", eta_trans=0.2),
-            cavity_source="c1",
-            cavity_target="c2",
-            link_labels=("lnk0",),
+            ("c1", "c2"),
+            ("lnk0",),
         )
         assert check_stationarity(trans) < 1e-14
 
     def test_scalar_presets_vanish(self):
         ch = make_local_channel(
             NoiseConfig(delta=0.3, pulse_area_error=0.1, eta_local=0.05),
-            flag_labels=("f0",),
+            "c",
+            ("f0",),
         )
         assert check_stationarity(ch) == 0.0
 
@@ -465,15 +448,15 @@ class TestStationarity:
         assert check_stationarity(ch) < 1e-14
 
     def test_default_thermal_preset_frozen(self):
-        ch = bath_local(0.0, bath=SCAN_BATH)
-        dev = check_stationarity(ch, p_therm=0.1)
+        ch = bath_local(0.0, p_therm=0.1, bath=SCAN_BATH)
+        dev = check_stationarity(ch)
         assert dev == pytest.approx(0.0056339854047570397, rel=1e-9)
         assert dev > 1e-4
 
     def test_deviation_monotone_in_occupation(self):
-        ch = bath_local(0.0, bath=SCAN_BATH)
         devs = [
-            check_stationarity(ch, p_therm=p) for p in (0.0, 0.02, 0.05, 0.1)
+            check_stationarity(bath_local(0.0, p_therm=p, bath=SCAN_BATH))
+            for p in (0.0, 0.02, 0.05, 0.1)
         ]
         assert devs[0] < 1e-14
         assert devs[1] == pytest.approx(0.0026291931888866183, rel=1e-9)
@@ -492,27 +475,26 @@ class TestStationarity:
         assert dev == pytest.approx(abs(np.cos(g * d2) - np.cos(g * d1)), abs=1e-11)
 
     def test_gap_shifts_thermal_deviation(self):
-        ch = bath_local(0.0, bath=SCAN_BATH)
-        gapped = check_stationarity(ch, start_times=(0.0, 1.9), p_therm=0.1)
+        ch = bath_local(0.0, p_therm=0.1, bath=SCAN_BATH)
+        gapped = check_stationarity(ch, start_times=(0.0, 1.9))
         assert gapped == pytest.approx(0.10980463540870745, rel=1e-9)
         with pytest.raises(ValueError, match="overlap"):
             check_stationarity(ch, start_times=(0.0, 0.5))
 
     def test_nan_gap_rejected(self):
         # NaN fails both gap comparisons; unchecked, it would read as no gap
-        bath = bath_local(0.0, bath=SCAN_BATH)
-        analytic = make_local_channel(NoiseConfig(), flag_labels=("f0",))
+        bath = bath_local(0.0, p_therm=0.1, bath=SCAN_BATH)
+        analytic = make_local_channel(NoiseConfig(), "c", ("f0",))
         for ch in (bath, analytic):
             with pytest.raises(ValueError, match="finite"):
-                check_stationarity(ch, start_times=(0.0, np.nan), p_therm=0.1)
+                check_stationarity(ch, start_times=(0.0, np.nan))
 
     def test_link_rejects_timing(self):
         # a link has no dwell window, so no timing can change its answer
         link = make_transmission_channel(
             NoiseConfig(backend="bath", eta_trans=0.2),
-            cavity_source="c1",
-            cavity_target="c2",
-            link_labels=("lnk0",),
+            ("c1", "c2"),
+            ("lnk0",),
         )
         for timing in (
             {"durations": (1.0, 5.0)},
@@ -530,14 +512,12 @@ class TestStationarity:
 
 class TestDefaultLossBath:
     def test_closed_form_coupling(self):
-        b = default_loss_bath(0.2, dwell=2.0)
+        b = default_loss_bath(0.2)
         assert b.couplings[0] == pytest.approx(
-            np.arcsin(np.sqrt(0.2)) / 2.0, abs=TOL
+            np.arcsin(np.sqrt(0.2)) / DWELL, abs=TOL
         )
         assert b.detunings == (0.0,)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="eta"):
             default_loss_bath(1.0)
-        with pytest.raises(ValueError, match="dwell"):
-            default_loss_bath(0.1, dwell=0.0)

@@ -190,6 +190,23 @@ class TestRunCommand:
             )
             assert result.returncode == 0, result.stderr
 
+    def test_check_passes_on_two_mode_bath(self, tmp_path):
+        # each slot of the joint measurement gets both modes of the bath
+        doc = {
+            "protocol": "joint_measure",
+            "trials": 50,
+            "seed": 3,
+            "noise": {
+                "backend": "bath",
+                "bath": {"couplings": [0.2, 0.3], "detunings": [0.0, 0.7]},
+            },
+        }
+        cfg = write_config(tmp_path, doc)
+        result = invoke(
+            "run", "--config", str(cfg), "--check", "--out", str(tmp_path)
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_check_flags_unpurified_run(self, tmp_path):
         doc = {
             "protocol": "gate_raw",

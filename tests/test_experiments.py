@@ -39,6 +39,10 @@ class TestExperimentConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"max_attempts": 0},
+            # True is an int to Python but not an integer to the report
+            {"trials": True},
+            {"seed": True},
+            {"max_attempts": True},
         ],
     )
     def test_integer_fields_checked(self, kwargs):
@@ -191,6 +195,31 @@ class TestRunTrials:
         stats, results = run_trials(cfg)
         assert stats.stationarity_deviation == 0.0
         assert results[0].success and results[0].outcomes == ()
+
+    @pytest.mark.parametrize(
+        "bath",
+        [BathSpec((0.2, 0.3), (0.0, 0.7)), BathSpec((), ())],
+        ids=["two_modes", "no_modes"],
+    )
+    @pytest.mark.parametrize(
+        "protocol", ["joint_measure", "epr", "gate_purified", "stationarity_scan"]
+    )
+    def test_any_vacuum_bath_purifies(self, protocol, bath):
+        # every protocol runs on an explicit bath of any size, and a vacuum
+        # bath is stationary, so every heralded run is perfect
+        noise = NoiseConfig(backend="bath", eta_trans=0.3, bath=bath)
+        cfg = ExperimentConfig(
+            protocol, noise, trials=400, seed=13, max_attempts=2
+        )
+        stats, _ = run_trials(cfg)
+        assert stats.min_fidelity >= 1.0 - 1e-9
+        if protocol == "stationarity_scan":
+            # no branches to enumerate: the scan reports its deviation
+            assert stats.stationarity_deviation < 1e-12
+            return
+        p = sum(b.weight for b in enumerate_branches(cfg) if b.success)
+        sigma = np.sqrt(p * (1 - p) / cfg.trials)
+        assert abs(stats.success_probability - p) <= 5 * sigma + TOL
 
     def test_bad_jobs(self):
         cfg = ExperimentConfig(protocol="epr")

@@ -112,7 +112,7 @@ class TestJointMeasure:
             ]
         )
         channel = make_local_channel(
-            NoiseConfig(eta_local=0.2), flag_labels=("fl0", "fl1")
+            NoiseConfig(eta_local=0.2), "cav", ("fl0", "fl1")
         )
         s = make_state(
             spec, {"q1": 0, "q2": 0, "herald": 0, "fl0": 0, "fl1": 0}
@@ -133,7 +133,7 @@ class TestJointMeasure:
             ]
         )
         channel = make_local_channel(
-            NoiseConfig(), flag_labels=("fl0", "fl1")
+            NoiseConfig(), "cav", ("fl0", "fl1")
         )
         filled = {"fl0": 0, "fl1": 0}
         eleven = make_state(spec, {"q1": 1, "q2": 1, "herald": 0, **filled})

@@ -71,17 +71,17 @@ def test_interleaved_bath_configs_match_cold_runs(protocol):
         assert run_trials(config(protocol, VARIANTS[k])) == cold[k], VARIANTS[k]
 
 
-def _direct_run(kind, noise, g, dwell):
-    """One protocol run at an explicit pulse rate and dwell, fully recorded."""
+def _direct_run(kind, noise):
+    """One protocol run, fully recorded."""
     chooser = SampleChooser(np.random.default_rng(11))
     if kind == "joint_measure":
-        out = run_joint_measure(noise, chooser, g=g, dwell=dwell)
+        out = run_joint_measure(noise, chooser)
         record = (out.ok, out.fidelity, out.state)
     elif kind == "epr":
-        out = establish_epr(noise, chooser, max_attempts=3, g=g, dwell=dwell)
+        out = establish_epr(noise, chooser, max_attempts=3)
         record = (out.success, out.attempts, out.fidelity, out.state)
     else:
-        out = run_gate(noise, chooser, amps=AMPS["gate_purified"], g=g, dwell=dwell)
+        out = run_gate(noise, chooser, amps=AMPS["gate_purified"])
         record = (out.ok, out.failed_checkpoint, out.fidelity, out.state)
     *fields, state = record
     amps = None if state is None else state.amplitudes.tobytes()
@@ -90,14 +90,9 @@ def _direct_run(kind, noise, g, dwell):
 
 def test_final_states_and_g_dwell_interleaved():
     # run_trials drops the final state; compare its amplitudes bit for bit,
-    # over the noise variants and over the pulse rate and dwell
+    # over the noise variants
     kinds = ("joint_measure", "epr", "gate_purified")
-    runs = [(kind, noise, 1.0, 1.0) for kind in kinds for noise in VARIANTS]
-    runs += [
-        (kind, BASE, g, dwell)
-        for kind in kinds
-        for g, dwell in ((1.3, 1.0), (1.0, 0.7))
-    ]
+    runs = [(kind, noise) for kind in kinds for noise in VARIANTS]
     cold = []
     for run in runs:
         clear_caches()
