@@ -404,6 +404,10 @@ def make_transmission_channel(noise: NoiseConfig, cavities, slots) -> CopyChanne
     register; on the bath backend it is the link register that slot's
     lost photon ends up in.
     """
+    if isinstance(cavities, str) or len(cavities) != 2 or cavities[0] == cavities[1]:
+        raise ValueError(
+            f"cavities must be two distinct cavity labels, got {cavities!r}"
+        )
     eta = noise.eta_trans
     if noise.backend == "analytic":
         return _analytic_channel(noise, slots, eta, True, 0.0)

@@ -18,12 +18,12 @@ exact matrices; protocols treat them as free and noiseless.
 
 Heralded protocols replay the same pulse sequence on every trial, so each
 Hamiltonian, propagator and single-atom operator is built once per process
-and then reused. The caches are bounded ``lru_cache`` tables keyed on the
-hashable inputs that fully determine the object (spec, coupling, bath
-couplings and detunings, labels, duration), never on object identity or
-array contents. A cached object is exactly what a fresh build would
-return, and every state-level step and guard still runs on every use, so
-results are bit for bit those of an uncached run.
+and then reused. The builders' caches are bounded ``lru_cache`` tables keyed
+on the hashable inputs that fully determine the operator, so one recipe
+yields one object, and the propagator cache is keyed on that object (see
+`evolve`). A cached object is exactly what a fresh build would return, and
+every state-level step and guard still runs on every use, so results are
+bit for bit those of an uncached run.
 """
 
 from __future__ import annotations
@@ -50,40 +50,6 @@ PUMP_COEXISTENCE_TOL = 1e-12
 # Thermal initialization keeps at most one excitation; the weight it drops
 # must stay below this fraction.
 THERMAL_DROP_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class RamanCoupling:
-    """Drive parameters for one atom's cavity-assisted 1-r transfer.
-
-    Parameters
-    ----------
-    g : float
-        Effective transfer rate; a resonant pulse lasting pi/g is a full
-        swap.
-    phase : float
-        Drive phase. Transfer amplitudes pick up exp(+-i phase); survival
-        amplitudes are phase independent.
-    detuning : float
-        Energy offset of |r> while this drive is on. Nonzero detuning slows
-        the transfer and leaves residual population behind.
-    """
-
-    g: float
-    phase: float = 0.0
-    detuning: float = 0.0
-
-    def __post_init__(self):
-        if self.g < 0.0:
-            raise ValueError("coupling rate g must be nonnegative")
-        if not all(map(math.isfinite, (self.g, self.phase, self.detuning))):
-            raise ValueError("coupling parameters must be finite")
-
-    @property
-    def pi_duration(self) -> float:
-        if self.g == 0.0:
-            raise ValueError("pi time undefined for g = 0")
-        return float(np.pi / self.g)
 
 
 @dataclass(frozen=True)
@@ -124,10 +90,9 @@ def thermal_configurations(bath: BathSpec):
 
     Each mode starts excited independently with probability p_therm; the
     kept branches are the vacuum and the single-excitation patterns, with
-    weights renormalized over what is kept. Returns (configs, weights,
-    dropped) where configs are occupation tuples and dropped is the
-    multi-excitation weight that was cut; it must stay below
-    THERMAL_DROP_TOL or the truncation is refused.
+    weights renormalized over what is kept. Returns (configs, weights)
+    where configs are occupation tuples. The multi-excitation weight that
+    is cut must stay below THERMAL_DROP_TOL or the truncation is refused.
     """
     p = bath.p_therm
     k = bath.n_modes
@@ -145,64 +110,49 @@ def thermal_configurations(bath: BathSpec):
             f"thermal truncation would drop weight {dropped:.3g}; "
             "lower p_therm or the mode count"
         )
-    weights = [w / kept for w in weights]
-    return configs, weights, float(dropped)
-
-
-def _resolve_cavity(spec: SubsystemSpec, cavity) -> str:
-    if cavity is not None:
-        if spec.kind(cavity) != "cavity":
-            raise ValueError(f"{cavity!r} is not a cavity")
-        return cavity
-    cavities = [s.label for s in spec.subsystems if s.kind == "cavity"]
-    if len(cavities) != 1:
-        raise ValueError(
-            f"spec has {len(cavities)} cavities; pass cavity= explicitly"
-        )
-    return cavities[0]
+    return configs, [w / kept for w in weights]
 
 
 @lru_cache(maxsize=128)
 def raman_hamiltonian(
-    spec: SubsystemSpec, atom: str, coupling: RamanCoupling, cavity=None
+    spec: SubsystemSpec, atom: str, cavity: str, g: float, phase: float = 0.0
 ) -> LinearOp:
-    """Drive Hamiltonian on (atom, cavity).
+    """Drive Hamiltonian on (atom, cavity) at rate g and drive phase phase.
 
-    (g/2) e^{i phase} |1><r| (x) annihilate + h.c. + detuning |r><r| (x)
-    identity. The photon-absorbing element carries e^{+i phase}, so the
-    emission amplitude |1, empty> -> |r, occupied> goes as e^{-i phase}.
-    The detuning term acts whenever this drive is on, including on the
-    photon-free |r> configuration. Built once per (spec, atom, coupling,
-    cavity) and shared.
+    (g/2) e^{i phase} |1><r| (x) annihilate + h.c. The photon-absorbing
+    element carries e^{+i phase}, so the emission amplitude
+    |1, empty> -> |r, occupied> goes as e^{-i phase}; survival amplitudes
+    are phase independent. Built once per (spec, atom, cavity, g, phase)
+    and shared.
     """
     if spec.kind(atom) != "atom":
         raise ValueError(f"{atom!r} is not an atom")
-    cavity = _resolve_cavity(spec, cavity)
-    half = 0.5 * coupling.g * np.exp(1j * coupling.phase)
+    if spec.kind(cavity) != "cavity":
+        raise ValueError(f"{cavity!r} is not a cavity")
+    if g < 0.0:
+        raise ValueError("coupling rate g must be nonnegative")
+    if not (math.isfinite(g) and math.isfinite(phase)):
+        raise ValueError("coupling parameters must be finite")
+    half = 0.5 * g * np.exp(1j * phase)
     # support (atom, cavity), dims (3, 2), row-major: index = 2*level + photon
     h = np.zeros((6, 6), dtype=complex)
     h[2 * LEVEL_1 + 0, 2 * LEVEL_R + 1] = half
     h[2 * LEVEL_R + 1, 2 * LEVEL_1 + 0] = np.conj(half)
-    h[2 * LEVEL_R + 0, 2 * LEVEL_R + 0] = coupling.detuning
-    h[2 * LEVEL_R + 1, 2 * LEVEL_R + 1] = coupling.detuning
-    key = ("raman", spec, atom, coupling, cavity)
-    return LinearOp(spec, (atom, cavity), h, key)
+    return LinearOp(spec, (atom, cavity), h)
 
 
 def bath_hamiltonian(
-    spec: SubsystemSpec, bath: BathSpec, cavity=None, modes=None
+    spec: SubsystemSpec, bath: BathSpec, cavity: str, modes
 ) -> LinearOp:
     """Photon-exchange coupling of one cavity to its bath modes.
 
-    sum_k G_k (raise_k (x) lower_cav + h.c.) + sum_k Delta_k count_k.
-    Both sides are hard-core, so a photon cannot leak into an occupied mode
-    and an excited mode cannot emit into an occupied cavity. Built once per
-    (spec, couplings, detunings, cavity, labels) and shared; the thermal
-    occupation of the bath does not enter the Hamiltonian.
+    sum_k G_k (raise_k (x) lower_cav + h.c.) + sum_k Delta_k count_k, with
+    mode k of ``bath`` on label ``modes[k]``. Both sides are hard-core, so
+    a photon cannot leak into an occupied mode and an excited mode cannot
+    emit into an occupied cavity. Built once per (spec, couplings,
+    detunings, cavity, modes) and shared; the thermal occupation of the
+    bath does not enter the Hamiltonian.
     """
-    cavity = _resolve_cavity(spec, cavity)
-    if modes is None:
-        modes = [s.label for s in spec.subsystems if s.kind == "bathmode"]
     return _bath_hamiltonian(
         spec, bath.couplings, bath.detunings, cavity, tuple(modes)
     )
@@ -210,6 +160,8 @@ def bath_hamiltonian(
 
 @lru_cache(maxsize=128)
 def _bath_hamiltonian(spec, couplings, detunings, cavity, modes) -> LinearOp:
+    if spec.kind(cavity) != "cavity":
+        raise ValueError(f"{cavity!r} is not a cavity")
     for l in modes:
         if spec.kind(l) != "bathmode":
             raise ValueError(f"{l!r} is not a bath mode")
@@ -239,8 +191,7 @@ def _bath_hamiltonian(spec, couplings, detunings, cavity, modes) -> LinearOp:
         h += term + term.T.conj()
         mats = [eye] + [count if j == k else eye for j in range(n_modes)]
         h += detunings[k] * chain(mats)
-    key = ("bath", spec, couplings, detunings, cavity, modes)
-    return LinearOp(spec, support, h, key)
+    return LinearOp(spec, support, h)
 
 
 def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> LinearOp:
@@ -253,43 +204,20 @@ def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> L
     return LinearOp(spec, hamiltonian.support, u)
 
 
-class _ByRecipe:
-    """Hashable stand-in for a keyed operator, equal when the keys are.
-
-    It lets the propagator cache key on the recipe that built a
-    Hamiltonian rather than on the operator object.
-    """
-
-    __slots__ = ("op",)
-
-    def __init__(self, op: LinearOp):
-        self.op = op
-
-    def __hash__(self):
-        return hash(self.op.key)
-
-    def __eq__(self, other):
-        return self.op.key == other.op.key
-
-
 @lru_cache(maxsize=256)
-def _cached_propagator(spec, recipe: _ByRecipe, duration) -> LinearOp:
-    return propagator(spec, recipe.op, duration)
+def _cached_propagator(spec, hamiltonian: LinearOp, duration) -> LinearOp:
+    return propagator(spec, hamiltonian, duration)
 
 
 def evolve(state: StateVector, hamiltonian: LinearOp, duration: float) -> StateVector:
     """Evolve a state under a time-independent Hamiltonian.
 
-    The propagator of a Hamiltonian built by `raman_hamiltonian` or
-    `bath_hamiltonian` is diagonalized once per (spec, Hamiltonian recipe,
-    duration) and reused; a hand-built operator has no recipe to key on
-    and is diagonalized on every call.
+    Each (spec, Hamiltonian, duration) is diagonalized once and reused. The
+    key is the operator object itself: operators are read-only, the
+    builders return one object per recipe, and the cache keeps the object
+    alive, so a key never stands for two different Hamiltonians.
     """
-    if hamiltonian.key is None:
-        u = propagator(state.spec, hamiltonian, duration)
-    else:
-        u = _cached_propagator(state.spec, _ByRecipe(hamiltonian), duration)
-    return apply(u, state)
+    return apply(_cached_propagator(state.spec, hamiltonian, duration), state)
 
 
 def transfer(state: StateVector, atom: str, cavity, g: float, phase=0.0) -> StateVector:
@@ -297,11 +225,13 @@ def transfer(state: StateVector, atom: str, cavity, g: float, phase=0.0) -> Stat
 
     Maps |1, empty> to -i e^{-i phase} |r, occupied> and |r, occupied> to
     -i e^{+i phase} |1, empty>; every other configuration of the atom and
-    its cavity is left alone. The pulse is exact: no bath acts during it.
+    its cavity is left alone. The pulse lasts pi/g and is exact: no bath
+    acts during it.
     """
-    coupling = RamanCoupling(g, phase)
-    h = raman_hamiltonian(state.spec, atom, coupling, cavity)
-    return evolve(state, h, coupling.pi_duration)
+    if g <= 0.0:
+        raise ValueError(f"pi time undefined for g = {g}")
+    h = raman_hamiltonian(state.spec, atom, cavity, g, phase)
+    return evolve(state, h, float(np.pi / g))
 
 
 _SQ2 = 1.0 / np.sqrt(2.0)

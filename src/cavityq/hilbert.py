@@ -174,9 +174,6 @@ class StateVector:
         """Amplitudes reshaped to one axis per subsystem (a view)."""
         return self.amplitudes.reshape(self.spec.dims)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.spec, self.amplitudes.copy())
-
 
 def make_state(spec: SubsystemSpec, assignments: dict[str, int]) -> StateVector:
     """Computational basis state with every label assigned a level.
@@ -227,18 +224,13 @@ class LinearOp:
     ``matrix`` is square over the support labels' dimensions in the listed
     order, row-major; it is copied and stored read-only. An operator is
     bound to its spec, so the axis permutation that brings its support
-    together in a state tensor is worked out once, here.
-
-    ``key`` is an optional hashable recipe that fully determines the
-    operator, such as a Hamiltonian constructor's arguments. Operators
-    with equal keys are interchangeable, which is what lets
-    `cavityq.dynamics` build each propagator once per process. Operators
-    are shared once cached, so nothing may change one in place.
+    together in a state tensor is worked out once, here. Operators are
+    shared once cached, and `cavityq.dynamics` keys its propagator cache
+    on the operator object, so nothing may change one in place.
     """
 
-    def __init__(self, spec, support, matrix, key=None):
+    def __init__(self, spec, support, matrix):
         self.spec = spec
-        self.key = key
         self.support = tuple(support)
         if len(set(self.support)) != len(self.support):
             raise ValueError("duplicate support labels")

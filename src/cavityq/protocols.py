@@ -166,10 +166,13 @@ def measure_via(chooser, state, label, groups, name):
 
 
 def _thermal_assignments(chooser, bath, slot_modes, tag):
-    """Initial occupations for per-slot bath modes, one draw per slot."""
-    configs, weights, _ = thermal_configurations(bath)
+    """Initial occupations for per-slot bath modes, one draw per slot.
+
+    A slot without modes has nothing to occupy and records no draw.
+    """
+    configs, weights = thermal_configurations(bath)
     out = {}
-    for modes in slot_modes:
+    for modes in filter(None, slot_modes):
         idx = chooser.choose(f"{tag}:therm:{'+'.join(modes)}", weights)
         out.update(zip(modes, configs[idx]))
     return out
@@ -222,7 +225,7 @@ def _assert_jm_domain(state, pair, herald):
         raise ValueError("herald atom must start in |0>")
 
 
-def joint_measure_00(state, pair, herald, channel, chooser, *, slots=(0, 1), tag="jm"):
+def joint_measure_00(state, pair, herald, channel, chooser, *, tag="jm"):
     """Distinguish |00> from span{|01>, |10>} without resolving the span.
 
     Both pair atoms are copied onto the herald in sequence; the first copy
@@ -233,9 +236,9 @@ def joint_measure_00(state, pair, herald, channel, chooser, *, slots=(0, 1), tag
     """
     first, second = pair
     _assert_jm_domain(state, pair, herald)
-    s = local_channel_apply(state, channel, (first, herald), slot=slots[0])
+    s = local_channel_apply(state, channel, (first, herald), slot=0)
     s = single_atom_op(s, herald, "exchange_1r")
-    s = local_channel_apply(s, channel, (second, herald), slot=slots[1])
+    s = local_channel_apply(s, channel, (second, herald), slot=1)
     s = optical_pump_r_to_1(s, herald)
     s = single_atom_op(s, first, "phase_z")
     idx, post = measure_via(chooser, s, herald, ATOM_LEVELS, f"{tag}:herald")

@@ -3,7 +3,9 @@
 `perfbench/tracer.py` wraps layer functions by their attribute names and
 pins exact call counts for one analytic joint-measurement trial. A change
 that renames a traced attribute or moves a pinned count fails here, not
-only in the benchmark.
+only in the benchmark. The bath tests reach the hooks that read traced
+arguments by position, such as `dynamics.propagator`'s Hamiltonian and
+duration.
 """
 
 import importlib.util
@@ -11,16 +13,55 @@ from pathlib import Path
 
 # the tracer wraps layers in every cavityq module, the CLI included
 import cavityq.cli  # noqa: F401
+from cavityq import experiments
+from cavityq.channels import NoiseConfig
+from cavityq.experiments import ExperimentConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_selftest_repeats_without_problems():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_selftest_repeats_without_problems():
+    tracer = load_tracer()
     # the benchmark runs the self-test twice in one process
     first = tracer.selftest()
     second = tracer.selftest()
     assert first == []
     assert second == first
+
+
+def test_tracer_hooks_record_a_bath_trial_and_enumeration():
+    module = load_tracer()
+    tracer = module.Tracer()
+    # an eta_local no other test uses, so the channel build and its dwell
+    # propagator cannot come from a warm cache
+    jm = ExperimentConfig(
+        "joint_measure", NoiseConfig(backend="bath", eta_local=0.0371), seed=1
+    )
+    gate = ExperimentConfig(
+        "gate_purified", NoiseConfig(backend="bath", eta_local=0.05)
+    )
+    tracer.install()
+    try:
+        # through the module, where the tracer's wrappers live
+        experiments.run_trials(jm)
+        experiments.enumerate_branches(gate)
+    finally:
+        tracer.uninstall()
+    counts = tracer.aggregate()
+    for name in (
+        "dynamics.propagator",
+        "channels.make_local_channel",
+        "experiments.enumerate_branches",
+    ):
+        assert counts[name]["calls"] > 0, name
+    assert tracer.propagator_keys
+    assert tracer.channel_keys
+    assert tracer.leaves > 0
+    assert module.surviving_wrappers() == []

@@ -311,6 +311,13 @@ class TestTransmission:
             make_transmission_channel(NoiseConfig(), ("c1", "c2"), ("ft",)),
         )
 
+    @pytest.mark.parametrize("backend", ["analytic", "bath"])
+    @pytest.mark.parametrize("cavities", ["c", ("c",), ("c", "c"), ("a", "b", "c")])
+    def test_cavities_must_be_a_distinct_pair(self, backend, cavities):
+        noise = NoiseConfig(backend=backend, eta_trans=0.2)
+        with pytest.raises(ValueError, match="cavities"):
+            make_transmission_channel(noise, cavities, ("f0",))
+
 
 class TestCrossBackend:
     def test_twin_matches_bath_local(self):

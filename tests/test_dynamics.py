@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cavityq.dynamics import (
     BathSpec,
-    RamanCoupling,
     bath_hamiltonian,
     evolve,
     excitation_number,
@@ -32,27 +31,22 @@ from cavityq.hilbert import (
 TOL = 1e-12
 
 
-def block_oracle(g, phase, detuning, t):
+def block_oracle(g, phase, t):
     """Independent 2x2 closed form for the driven {|1,empty>, |r,occupied>} block.
 
-    Generalized rotation at rate sqrt(g^2 + detuning^2) with the drive phase
-    on the transfer elements only: emission carries e^{-i phase}, absorption
-    e^{+i phase}.
+    Rotation at rate g with the drive phase on the transfer elements only:
+    emission carries e^{-i phase}, absorption e^{+i phase}.
     """
-    omega = np.hypot(g, detuning)
-    c = np.cos(omega * t / 2)
-    s = np.sin(omega * t / 2)
-    pref = np.exp(-1j * detuning * t / 2)
-    u11 = pref * (c + 1j * (detuning / omega) * s)
-    u22 = pref * (c - 1j * (detuning / omega) * s)
-    u21 = pref * -1j * (g / omega) * s * np.exp(-1j * phase)
-    u12 = pref * -1j * (g / omega) * s * np.exp(1j * phase)
-    return np.array([[u11, u12], [u21, u22]])
+    c = np.cos(g * t / 2)
+    s = np.sin(g * t / 2)
+    u21 = -1j * s * np.exp(-1j * phase)
+    u12 = -1j * s * np.exp(1j * phase)
+    return np.array([[c, u12], [u21, c]])
 
 
-def drive(state, atom, coupling, t):
-    """Evolve under one atom's drive for an arbitrary duration."""
-    return evolve(state, raman_hamiltonian(state.spec, atom, coupling), t)
+def drive(state, atom, g, phase, t):
+    """Evolve under one atom's drive (cavity "c") for an arbitrary duration."""
+    return evolve(state, raman_hamiltonian(state.spec, atom, "c", g, phase), t)
 
 
 def one_atom_spec():
@@ -86,7 +80,7 @@ class TestRamanBlock:
         spec = one_atom_spec()
         for photon in (0, 1):
             init = make_state(spec, {"q": 0, "c": photon})
-            out = drive(init, "q", RamanCoupling(1.0, 0.3, 0.7), np.pi)
+            out = drive(init, "q", 1.0, 0.3, np.pi)
             np.testing.assert_allclose(out.amplitudes, init.amplitudes, atol=TOL)
 
     def test_occupied_cavity_blocks_transfer(self):
@@ -95,14 +89,6 @@ class TestRamanBlock:
         init = make_state(spec, {"q": 1, "c": 1})
         out = transfer(init, "q", "c", 1.0)
         np.testing.assert_allclose(out.amplitudes, init.amplitudes, atol=TOL)
-
-    def test_r_with_empty_cavity_gets_detuning_phase(self):
-        spec = one_atom_spec()
-        g, delta, t = 1.3, 0.4, 2.1
-        init = make_state(spec, {"q": 2, "c": 0})
-        out = drive(init, "q", RamanCoupling(g, 0.0, delta), t)
-        expect = superpose([(np.exp(-1j * delta * t), init)])
-        np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=TOL)
 
     def test_block_matches_closed_form(self):
         spec = one_atom_spec()
@@ -114,12 +100,11 @@ class TestRamanBlock:
         for _ in range(12):
             g = rng.uniform(0.5, 2.0)
             phase = rng.uniform(-np.pi, np.pi)
-            delta = rng.uniform(-1.0, 1.0)
             t = rng.uniform(0.2, 6.0)
-            expect = block_oracle(g, phase, delta, t)
+            expect = block_oracle(g, phase, t)
             got = np.empty((2, 2), dtype=complex)
             for col, b in enumerate(basis):
-                out = drive(b, "q", RamanCoupling(g, phase, delta), t)
+                out = drive(b, "q", g, phase, t)
                 for row, b2 in enumerate(basis):
                     got[row, col] = np.vdot(b2.amplitudes, out.amplitudes)
             np.testing.assert_allclose(got, expect, atol=1e-11)
@@ -127,30 +112,32 @@ class TestRamanBlock:
     def test_survival_is_phase_independent(self):
         spec = one_atom_spec()
         init = make_state(spec, {"q": 1, "c": 0})
-        delta, t = 0.6, 1.7
+        t = 1.7
         amps = []
         for phase in (0.0, 1.1, np.pi, -2.0):
-            out = drive(init, "q", RamanCoupling(1.0, phase, delta), t)
+            out = drive(init, "q", 1.0, phase, t)
             amps.append(np.vdot(init.amplitudes, out.amplitudes))
         for a in amps[1:]:
             assert a == pytest.approx(amps[0], abs=TOL)
 
     def test_cavity_resolution(self):
         spec = SubsystemSpec([("q", "atom"), ("c1", "cavity"), ("c2", "cavity")])
-        with pytest.raises(ValueError, match="cavities"):
-            raman_hamiltonian(spec, "q", RamanCoupling(1.0))
-        h = raman_hamiltonian(spec, "q", RamanCoupling(1.0), cavity="c2")
+        h = raman_hamiltonian(spec, "q", "c2", 1.0)
         assert h.support == ("q", "c2")
         with pytest.raises(ValueError, match="not an atom"):
-            raman_hamiltonian(spec, "c1", RamanCoupling(1.0), cavity="c2")
+            raman_hamiltonian(spec, "c1", "c2", 1.0)
+        with pytest.raises(ValueError, match="not a cavity"):
+            raman_hamiltonian(spec, "q", "q", 1.0)
+        with pytest.raises(ValueError, match="not a cavity"):
+            bath_hamiltonian(spec, BathSpec((), ()), "q", ())
 
     @pytest.mark.parametrize(
         "args",
-        [(np.nan,), (np.inf,), (1.0, np.nan), (1.0, -np.inf), (1.0, 0.0, np.inf)],
+        [(np.nan,), (np.inf,), (1.0, np.nan), (1.0, -np.inf)],
     )
     def test_coupling_parameters_must_be_finite(self, args):
         with pytest.raises(ValueError, match="finite"):
-            RamanCoupling(*args)
+            raman_hamiltonian(one_atom_spec(), "q", "c", *args)
 
 
 class TestIdealJointMap:
@@ -180,7 +167,7 @@ class TestBathCoupling:
         # survival amplitude of the photon is cos(G t): G=0.3, t=2.0
         spec = SubsystemSpec([("c", "cavity"), ("b0", "bathmode")])
         bath = BathSpec(couplings=(0.3,), detunings=(0.0,))
-        h = bath_hamiltonian(spec, bath)
+        h = bath_hamiltonian(spec, bath, "c", ("b0",))
         out = evolve(make_state(spec, {"c": 1, "b0": 0}), h, 2.0)
         t = out.tensor()
         assert t[1, 0] == pytest.approx(0.8253356149096783, abs=TOL)
@@ -190,7 +177,7 @@ class TestBathCoupling:
         # hard-core bath: photon cannot leak into an already-excited mode
         spec = SubsystemSpec([("c", "cavity"), ("b0", "bathmode")])
         bath = BathSpec(couplings=(0.7,), detunings=(0.0,))
-        h = bath_hamiltonian(spec, bath)
+        h = bath_hamiltonian(spec, bath, "c", ("b0",))
         init = make_state(spec, {"c": 1, "b0": 1})
         out = evolve(init, h, 3.0)
         assert fidelity(out, init) == pytest.approx(1.0, abs=TOL)
@@ -200,7 +187,7 @@ class TestBathCoupling:
             [("c", "cavity"), ("b0", "bathmode"), ("b1", "bathmode")]
         )
         bath = BathSpec(couplings=(0.3, 0.5), detunings=(0.0, 1.2))
-        h = bath_hamiltonian(spec, bath)
+        h = bath_hamiltonian(spec, bath, "c", ("b0", "b1"))
         out = evolve(make_state(spec, {"c": 1, "b0": 0, "b1": 0}), h, 1.5)
         assert norm_squared(out) == pytest.approx(1.0, abs=TOL)
         # single-excitation sector only
@@ -219,7 +206,7 @@ class TestBathCoupling:
 
     def test_empty_bath_is_free(self):
         spec = SubsystemSpec([("c", "cavity")])
-        h = bath_hamiltonian(spec, BathSpec((), ()))
+        h = bath_hamiltonian(spec, BathSpec((), ()), "c", ())
         init = make_state(spec, {"c": 1})
         out = evolve(init, h, 4.0)
         np.testing.assert_allclose(out.amplitudes, init.amplitudes, atol=TOL)
@@ -228,7 +215,7 @@ class TestBathCoupling:
         spec = SubsystemSpec([("c", "cavity"), ("b0", "bathmode")])
         bath = BathSpec(couplings=(0.3, 0.4), detunings=(0.0, 0.0))
         with pytest.raises(ValueError, match="labels"):
-            bath_hamiltonian(spec, bath)
+            bath_hamiltonian(spec, bath, "c", ("b0",))
 
 
 def commutator_norm(h):
@@ -242,12 +229,9 @@ def commutator_norm(h):
 def _hamiltonians(draw):
     """A random drive Hamiltonian or a random bath Hamiltonian."""
     if draw(st.booleans()):
-        coupling = RamanCoupling(
-            draw(st.floats(0.0, 2.0)),
-            draw(st.floats(-np.pi, np.pi)),
-            draw(st.floats(-1.0, 1.0)),
-        )
-        return raman_hamiltonian(one_atom_spec(), "q", coupling)
+        g = draw(st.floats(0.0, 2.0))
+        phase = draw(st.floats(-np.pi, np.pi))
+        return raman_hamiltonian(one_atom_spec(), "q", "c", g, phase)
     modes = draw(
         st.lists(st.tuples(st.floats(0.0, 0.6), st.floats(-1.0, 1.0)), max_size=3)
     )
@@ -255,7 +239,8 @@ def _hamiltonians(draw):
         [("c", "cavity")] + [(f"b{k}", "bathmode") for k in range(len(modes))]
     )
     bath = BathSpec(tuple(c for c, _ in modes), tuple(d for _, d in modes))
-    return bath_hamiltonian(spec, bath)
+    labels = [f"b{k}" for k in range(len(modes))]
+    return bath_hamiltonian(spec, bath, "c", labels)
 
 
 @given(_hamiltonians())
@@ -271,21 +256,16 @@ class TestConservation:
         )
         bath = BathSpec(couplings=(0.2, 0.4), detunings=(0.1, -0.3))
         for h in (
-            raman_hamiltonian(spec, "q", RamanCoupling(1.0, 0.5, 0.2)),
-            bath_hamiltonian(spec, bath),
+            raman_hamiltonian(spec, "q", "c", 1.0, 0.5),
+            bath_hamiltonian(spec, bath, "c", ("b0", "b1")),
         ):
             assert commutator_norm(h) < TOL
 
     def test_sector_preserved_under_evolution(self):
         spec = SubsystemSpec([("q", "atom"), ("c", "cavity"), ("b0", "bathmode")])
         bath = BathSpec(couplings=(0.4,), detunings=(0.2,))
-        background = bath_hamiltonian(spec, bath)
-        out = drive(
-            make_state(spec, {"q": 1, "c": 0, "b0": 0}),
-            "q",
-            RamanCoupling(1.0, 0.0, 0.3),
-            np.pi,
-        )
+        background = bath_hamiltonian(spec, bath, "c", ("b0",))
+        out = drive(make_state(spec, {"q": 1, "c": 0, "b0": 0}), "q", 1.0, 0.0, np.pi)
         out = evolve(out, background, 0.5)
         out = transfer(out, "q", "c", 1.0, 1.0)
         out = evolve(out, background, 0.5)
@@ -305,7 +285,7 @@ class TestConservation:
 class TestEvolveMechanics:
     def test_semigroup(self):
         spec = one_atom_spec()
-        h = raman_hamiltonian(spec, "q", RamanCoupling(1.1, 0.4, 0.3))
+        h = raman_hamiltonian(spec, "q", "c", 1.1, 0.4)
         rng = np.random.default_rng(3)
         amps = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
         amps /= np.linalg.norm(amps)
@@ -315,7 +295,7 @@ class TestEvolveMechanics:
 
     def test_propagator_is_unitary(self):
         spec = one_atom_spec()
-        h = raman_hamiltonian(spec, "q", RamanCoupling(0.9, -0.2, 0.6))
+        h = raman_hamiltonian(spec, "q", "c", 0.9, -0.2)
         u = propagator(spec, h, 1.3).dense()
         np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=TOL)
 
@@ -332,7 +312,7 @@ class TestEvolveMechanics:
         g_bath, dwell = 0.31, 1.4
         bath = BathSpec(couplings=(g_bath,), detunings=(0.0,))
         out = transfer(make_state(spec, {"q": 1, "c": 0, "b0": 0}), "q", "c", 1.0)
-        out = evolve(out, bath_hamiltonian(spec, bath), dwell)
+        out = evolve(out, bath_hamiltonian(spec, bath, "c", ("b0",)), dwell)
         out = transfer(out, "q", "c", 1.0)
         # emit (-i), dwell survival cos(G dwell), reabsorb (-i)
         survived = out.tensor()[1, 0, 0]
@@ -341,14 +321,13 @@ class TestEvolveMechanics:
         assert abs(leaked) == pytest.approx(abs(np.sin(g_bath * dwell)), abs=TOL)
 
     def test_zero_coupling(self):
-        assert RamanCoupling(0.0).g == 0.0
-        with pytest.raises(ValueError, match="pi time"):
-            _ = RamanCoupling(0.0).pi_duration
         spec = one_atom_spec()
-        h = raman_hamiltonian(spec, "q", RamanCoupling(0.0))
+        with pytest.raises(ValueError, match="pi time"):
+            transfer(make_state(spec, {"q": 1, "c": 0}), "q", "c", 0.0)
+        h = raman_hamiltonian(spec, "q", "c", 0.0)
         assert np.max(np.abs(h.dense())) == 0.0
         with pytest.raises(ValueError, match="nonnegative"):
-            RamanCoupling(-1.0)
+            raman_hamiltonian(spec, "q", "c", -1.0)
 
 
 class TestSingleAtomOps:

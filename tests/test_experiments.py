@@ -1,5 +1,7 @@
 """Trial runner, branch enumeration, and their mutual consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,28 @@ class TestEnumerateBranches:
         cfg = ExperimentConfig(protocol="stationarity_scan", noise=SCAN_NOISE)
         with pytest.raises(ValueError, match="branches"):
             enumerate_branches(cfg)
+
+
+def _leaf_record(leaf):
+    """A branch leaf with its state as raw amplitude bytes."""
+    state = None if leaf.state is None else leaf.state.amplitudes.tobytes()
+    return (
+        leaf.weight, leaf.success, leaf.attempts, leaf.fidelity, leaf.outcomes, state
+    )
+
+
+@pytest.mark.parametrize("protocol", ["joint_measure", "epr", "gate_purified"])
+def test_zero_mode_thermal_bath_matches_vacuum(protocol):
+    # a bath without modes has nothing to occupy, so its occupation makes
+    # no draw: trials and branch trees are those of the vacuum config
+    empty = NoiseConfig(backend="bath", bath=BathSpec((), ()), eta_trans=0.2)
+    runs = []
+    for p_therm in (0.1, 0.0):
+        noise = replace(empty, p_therm=p_therm)
+        cfg = ExperimentConfig(protocol, noise, trials=4, seed=3, max_attempts=2)
+        leaves = [_leaf_record(leaf) for leaf in enumerate_branches(cfg)]
+        runs.append((run_trials(cfg), leaves))
+    assert runs[0] == runs[1]
 
 
 class TestProcessFidelity:
