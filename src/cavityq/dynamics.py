@@ -73,6 +73,9 @@ class BathSpec:
     def __post_init__(self):
         object.__setattr__(self, "couplings", tuple(float(c) for c in self.couplings))
         object.__setattr__(self, "detunings", tuple(float(d) for d in self.detunings))
+        for name in ("couplings", "detunings"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"bath {name} must be finite")
         if len(self.couplings) != len(self.detunings):
             raise ValueError("couplings and detunings lengths differ")
         if not 0 <= len(self.couplings) <= 6:

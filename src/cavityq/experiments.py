@@ -16,7 +16,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .protocols import (
     DEFAULT_JM_AMPS,
     DEFAULT_MAX_ATTEMPTS,
     EprCircuit,
+    Outcome,
     ScriptedChooser,
     SampleChooser,
     WEIGHT_FLOOR,
@@ -231,31 +231,22 @@ def _epr_circuit(noise: NoiseConfig) -> EprCircuit:
     return EprCircuit(noise)
 
 
-def _run_unit(cfg: ExperimentConfig, chooser, k):
-    """Unit ``k`` of one protocol run; returns (ok, fidelity, state).
+def _run_unit(cfg: ExperimentConfig, chooser, k) -> Outcome:
+    """Unit ``k`` of one protocol run.
 
     The entanglement link's unit is attempt ``k``; every other protocol
     runs as a single unit.
     """
     p = cfg.protocol
     if p == "epr":
-        res = epr_attempt(_epr_circuit(cfg.noise), chooser, k)
-        return res.success, res.fidelity, res.state
+        return epr_attempt(_epr_circuit(cfg.noise), chooser, k)
     if p == "joint_measure":
         amps = cfg.protocol_params.get("amps", DEFAULT_JM_AMPS)
-        out = run_joint_measure(cfg.noise, chooser, amps=amps)
-        return out.ok, out.fidelity, out.state
+        return run_joint_measure(cfg.noise, chooser, amps=amps)
     amps = cfg.protocol_params.get("amps", DEFAULT_GATE_AMPS)
-    rec = run_gate(
+    return run_gate(
         cfg.noise, chooser, amps=amps, purified=(p == "gate_purified")
     )
-    return rec.ok, rec.fidelity, rec.state
-
-
-class _Leaf(NamedTuple):
-    ok: bool
-    fidelity: float | None
-    state: object | None
 
 
 class _Node:
@@ -275,7 +266,7 @@ class _BranchTrie:
     """The branch tree of one protocol, filled lazily for one call.
 
     Inner nodes hold a choice's name, less the unit's tag, and its raw
-    weights; leaves hold the unit's outcome. An empty slot is filled by
+    weights; leaves hold the unit's `Outcome`. An empty slot is filled by
     running the unit from its root along the slot's path, which stores
     every choice point of that run. The entanglement link's unit is one
     attempt: attempts are independent and identically distributed, so one
@@ -293,10 +284,11 @@ class _BranchTrie:
     def tag(self, k) -> str:
         return f"try{k}" if self.epr else ""
 
-    def expand(self, chooser, k) -> _Leaf:
+    def expand(self, chooser, k) -> Outcome:
         """Run unit ``k`` through ``chooser`` and store the path it took."""
-        ok, fid, state = _run_unit(self.cfg, chooser, k)
-        leaf = _Leaf(ok, fid, state if self.keep_states else None)
+        leaf = _run_unit(self.cfg, chooser, k)
+        if not self.keep_states:
+            leaf = leaf._replace(state=None)
         cut = len(self.tag(k))
         children, idx = self.top, 0
         for point in chooser.trace:
@@ -523,14 +515,8 @@ def enumerate_branches(cfg: ExperimentConfig, max_branches=MAX_BRANCHES):
     return records
 
 
-def estimate_process_fidelity(
-    noise: NoiseConfig,
-    *,
-    purified=True,
-    probes=PROBE_AMPS,
-    max_branches=MAX_BRANCHES,
-) -> float:
-    """Worst-case conditional gate fidelity over a probe-input set.
+def estimate_process_fidelity(noise: NoiseConfig, *, purified=True) -> float:
+    """Worst-case conditional gate fidelity over the `PROBE_AMPS` inputs.
 
     For each probe input the gate's branch tree is enumerated and the
     surviving branches' fidelities are weight-averaged; the returned
@@ -539,13 +525,13 @@ def estimate_process_fidelity(
     """
     protocol = "gate_purified" if purified else "gate_raw"
     worst = 1.0
-    for amps in probes:
+    for amps in PROBE_AMPS:
         cfg = ExperimentConfig(
             protocol=protocol,
             noise=noise,
             protocol_params={"amps": amps},
         )
-        branches = enumerate_branches(cfg, max_branches=max_branches)
+        branches = enumerate_branches(cfg)
         num = sum(r.weight * r.fidelity for r in branches if r.success)
         den = sum(r.weight for r in branches if r.success)
         if den <= 0.0:

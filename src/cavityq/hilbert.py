@@ -142,13 +142,14 @@ class SubsystemSpec:
         return f"SubsystemSpec({inner})"
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Dense complex amplitudes over a spec's product space.
 
     The squared norm may be anywhere in [0, 1 + 1e-12]: branch algebra keeps
     subnormalized pieces. Anything above that, or non-finite entries, is a
-    construction error.
+    construction error. Two states are equal when their specs and
+    amplitudes are.
     """
 
     spec: SubsystemSpec
@@ -169,6 +170,13 @@ class StateVector:
                 raise ValueError("non-finite amplitude")
             raise ValueError(f"squared norm {n2} above 1 + 1e-12")
         self.amplitudes = amps
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.spec == other.spec and bool(
+            np.array_equal(self.amplitudes, other.amplitudes)
+        )
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (a view)."""

@@ -8,8 +8,8 @@ measurement that separates the flags from the protected subspace.
 * ``joint_measure_00``: a herald atom collects copies of two qubits and
   announces, via a three-outcome readout, whether the pair survived inside
   span{|01>, |10>}.
-* ``establish_epr``: repeat-until-success entanglement of two remote atoms
-  over a lossy link, verified by a joint measurement at the receiving node.
+* ``run_epr``: repeat-until-success entanglement of two remote atoms over
+  a lossy link, verified by a joint measurement at the receiving node.
 * ``run_gate``: a two-qubit phase gate assembled from pulse palindromes;
   the purified variant interleaves four applications with bit flips so
   every input accumulates the same noise exposure, and mid-circuit
@@ -17,11 +17,14 @@ measurement that separates the flags from the protected subspace.
 
 Branching (measurements and thermal initial conditions) goes through a
 chooser object, so the same protocol code serves Monte Carlo sampling and
-exhaustive branch enumeration.
+exhaustive branch enumeration. Every run yields one `Outcome`: the
+herald's verdict, the fidelity of the kept state, and the state. Which
+herald level or checkpoint decided it is in the chooser's trace.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,17 @@ DEFAULT_JM_AMPS = (0.6, 0.8)
 
 # branches thinner than this are dead weight from roundoff, not outcomes
 WEIGHT_FLOOR = 1e-14
+
+
+class Outcome(NamedTuple):
+    """What one protocol run yields: the herald's verdict, the kept
+    state's fidelity to the ideal one (None for a failed run, and from
+    `joint_measure_00`, whose caller scores it), and the state (None for
+    a failed attempt of the entanglement link)."""
+
+    ok: bool
+    fidelity: float | None
+    state: StateVector | None
 
 
 @dataclass(frozen=True)
@@ -192,24 +206,23 @@ def _start_levels(channel, chooser, tag) -> dict:
     return levels
 
 
+def _pair_state(spec, atoms, amps, levels) -> StateVector:
+    """The four ``amps`` on |00>, |01>, |10>, |11> of the two ``atoms``,
+    every other register of ``spec`` in its level from ``levels``.
+
+    Zero amplitudes add no term.
+    """
+    return superpose(
+        [
+            (amp, make_state(spec, {**levels, **dict(zip(atoms, pair))}))
+            for amp, pair in zip(amps, ((0, 0), (0, 1), (1, 0), (1, 1)))
+            if abs(amp) > 0.0
+        ]
+    )
+
+
 # ---------------------------------------------------------------------------
 # joint measurement
-
-
-@dataclass(frozen=True)
-class JointMeasureOutcome:
-    """Result of one flag-verified joint measurement.
-
-    ``ok`` is the announced flag: True means the herald read |1> and the
-    pair collapsed onto the protected span{|01>, |10>} subspace. ``herald``
-    is the raw readout level. ``fidelity`` is filled by the top-level
-    runner, against the ideal post-measurement state.
-    """
-
-    ok: bool
-    herald: int
-    state: StateVector | None
-    fidelity: float | None = None
 
 
 def _assert_jm_domain(state, pair, herald):
@@ -242,7 +255,7 @@ def joint_measure_00(state, pair, herald, channel, chooser, *, tag="jm"):
     s = optical_pump_r_to_1(s, herald)
     s = single_atom_op(s, first, "phase_z")
     idx, post = measure_via(chooser, s, herald, ATOM_LEVELS, f"{tag}:herald")
-    return JointMeasureOutcome(ok=(idx == 1), herald=idx, state=post)
+    return Outcome(idx == 1, None, post)
 
 
 @lru_cache(maxsize=8)
@@ -253,7 +266,7 @@ def _jm_channel(noise: NoiseConfig):
 
 def run_joint_measure(
     noise: NoiseConfig, chooser, *, amps=DEFAULT_JM_AMPS
-) -> JointMeasureOutcome:
+) -> Outcome:
     """One joint-measurement trial on a|01> + b|10>.
 
     Builds the atoms and the channel's registers, runs the measurement,
@@ -269,42 +282,17 @@ def run_joint_measure(
     channel = _jm_channel(noise)
     spec = SubsystemSpec(atoms + list(channel.registers))
     env = _start_levels(channel, chooser, "jm")
-    state = superpose(
-        [
-            (a, make_state(spec, {"q1": 0, "q2": 1, "herald": 0, **env})),
-            (b, make_state(spec, {"q1": 1, "q2": 0, "herald": 0, **env})),
-        ]
-    )
-    out = joint_measure_00(state, ("q1", "q2"), "herald", channel, chooser)
+    pair, pair_amps = ("q1", "q2"), (0.0, a, b, 0.0)
+    state = _pair_state(spec, pair, pair_amps, {"herald": 0, **env})
+    out = joint_measure_00(state, pair, "herald", channel, chooser)
     if not out.ok:
         return out
-    pair_spec = SubsystemSpec([("q1", "atom"), ("q2", "atom")])
-    target = superpose(
-        [
-            (a, make_state(pair_spec, {"q1": 0, "q2": 1})),
-            (b, make_state(pair_spec, {"q1": 1, "q2": 0})),
-        ]
-    )
-    return JointMeasureOutcome(
-        ok=True,
-        herald=out.herald,
-        state=out.state,
-        fidelity=fidelity(out.state, target),
-    )
+    target = _pair_state(SubsystemSpec(atoms[:2]), pair, pair_amps, {})
+    return out._replace(fidelity=fidelity(out.state, target))
 
 
 # ---------------------------------------------------------------------------
 # entanglement over a lossy link
-
-
-@dataclass(frozen=True)
-class EprResult:
-    """Outcome of a repeat-until-success entanglement run."""
-
-    success: bool
-    attempts: int
-    state: StateVector | None
-    fidelity: float | None
 
 
 class EprCircuit:
@@ -333,98 +321,55 @@ class EprCircuit:
         registers = atoms + self.trans.registers + self.local.registers
         self.spec = SubsystemSpec(list(dict.fromkeys(registers)))
         validate_channel_pair(self.local, self.trans)
-        pair = SubsystemSpec([("a1", "atom"), ("a2", "atom")])
         half = 1.0 / np.sqrt(2.0)
-        self.bell = superpose(
-            [
-                (half, make_state(pair, {"a1": 0, "a2": 0})),
-                (half, make_state(pair, {"a1": 1, "a2": 1})),
-            ]
+        self.bell = _pair_state(
+            SubsystemSpec(atoms[:2]), ("a1", "a2"), (half, 0.0, 0.0, half), {}
         )
 
-    def fresh_state(self, chooser, tag) -> StateVector:
-        init = {label: 0 for label in self.spec.labels}
-        init.update(_start_levels(self.local, chooser, tag))
-        return make_state(self.spec, init)
 
-    def attempt(self, chooser, tag) -> JointMeasureOutcome:
-        """One shot: fan out, transmit twice, verify at the receiver."""
-        s = self.fresh_state(chooser, tag)
-        s = single_atom_op(s, "a1", "hadamard_01")
-        s = transmission_apply(s, self.trans, ("a1", "a2"), slot=0)
-        s = single_atom_op(s, "a1", "not_01")
-        s = transmission_apply(s, self.trans, ("a1", "aa"), slot=1)
-        s = single_atom_op(s, "a1", "not_01")
-        return joint_measure_00(
-            s, ("a2", "aa"), "herald", self.local, chooser, tag=tag
-        )
-
-    def finish(self, state, chooser, tag) -> StateVector:
-        """Fold the spare copy into the pair: measure it along |0> +/- |1>."""
-        s = single_atom_op(state, "aa", "hadamard_01")
-        idx, s = measure_via(chooser, s, "aa", ATOM_LEVELS, f"{tag}:ancilla")
-        if idx == 1:
-            s = single_atom_op(s, "a1", "phase_z")
-        return s
-
-    def bell_fidelity(self, state) -> float:
-        return fidelity(state, self.bell)
-
-
-def establish_epr(
-    noise: NoiseConfig,
-    chooser,
-    *,
-    max_attempts=DEFAULT_MAX_ATTEMPTS,
-) -> EprResult:
-    """Repeat fresh attempts until the receiver heralds, then fix up."""
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    circuit = EprCircuit(noise)
-    return run_epr(circuit, chooser, max_attempts)
-
-
-def epr_attempt(circuit: EprCircuit, chooser, k) -> EprResult:
-    """Attempt ``k`` of the link, fixed up when it heralds.
+def epr_attempt(circuit: EprCircuit, chooser, k) -> Outcome:
+    """Attempt ``k`` of the link: fan out, transmit twice, verify at the
+    receiver, and on a herald fold the spare copy into the pair by
+    measuring it along |0> +/- |1>. A failed attempt keeps no state.
 
     Attempts are independent and identically distributed: attempt ``k``
     differs from the first only in the ``try{k}`` tag that prefixes every
     choice name it makes.
     """
     tag = f"try{k}"
-    out = circuit.attempt(chooser, tag=tag)
+    init = {label: 0 for label in circuit.spec.labels}
+    init.update(_start_levels(circuit.local, chooser, tag))
+    s = make_state(circuit.spec, init)
+    s = single_atom_op(s, "a1", "hadamard_01")
+    s = transmission_apply(s, circuit.trans, ("a1", "a2"), slot=0)
+    s = single_atom_op(s, "a1", "not_01")
+    s = transmission_apply(s, circuit.trans, ("a1", "aa"), slot=1)
+    s = single_atom_op(s, "a1", "not_01")
+    out = joint_measure_00(
+        s, ("a2", "aa"), "herald", circuit.local, chooser, tag=tag
+    )
     if not out.ok:
-        return EprResult(False, k, None, None)
-    s = circuit.finish(out.state, chooser, tag=tag)
-    return EprResult(True, k, s, circuit.bell_fidelity(s))
+        return Outcome(False, None, None)
+    s = single_atom_op(out.state, "aa", "hadamard_01")
+    idx, s = measure_via(chooser, s, "aa", ATOM_LEVELS, f"{tag}:ancilla")
+    if idx == 1:
+        s = single_atom_op(s, "a1", "phase_z")
+    return Outcome(True, fidelity(s, circuit.bell), s)
 
 
-def run_epr(circuit: EprCircuit, chooser, max_attempts) -> EprResult:
+def run_epr(circuit: EprCircuit, chooser, max_attempts):
+    """Repeat fresh attempts until one heralds; returns (attempts, Outcome)."""
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
     for k in range(1, max_attempts + 1):
-        res = epr_attempt(circuit, chooser, k)
-        if res.success:
-            return res
-    return EprResult(False, max_attempts, None, None)
+        out = epr_attempt(circuit, chooser, k)
+        if out.ok:
+            break
+    return k, out
 
 
 # ---------------------------------------------------------------------------
 # two-qubit phase gate
-
-
-@dataclass(frozen=True)
-class GateRunRecord:
-    """Outcome of one gate run.
-
-    ``failed_checkpoint`` is the zero-based application whose checkpoint
-    caught a stranded transfer level, or None. ``fidelity`` compares the
-    final (or raw, unconditioned) state against the ideal phase action on
-    the same input.
-    """
-
-    ok: bool
-    failed_checkpoint: int | None
-    state: StateVector | None
-    fidelity: float | None
 
 
 def gate_exposures(noise: NoiseConfig):
@@ -564,13 +509,7 @@ class GateCircuit:
             levels = self.draw_levels(None)
         spec = self.specs[0]
         base = {label: levels.get(label, 0) for label in spec.labels}
-        terms = []
-        for k, (v1, v2) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            if abs(amps[k]) > 0.0:
-                terms.append(
-                    (amps[k], make_state(spec, {**base, "a1": v1, "a2": v2}))
-                )
-        return superpose(terms)
+        return _pair_state(spec, ("a1", "a2"), amps, base)
 
     def grow(self, s, k, levels) -> StateVector:
         """The state on application ``k``'s register: window modes that
@@ -615,13 +554,7 @@ class GateCircuit:
         amps = amps / np.linalg.norm(amps)
         pair = SubsystemSpec([("a1", "atom"), ("a2", "atom")])
         signed = amps * np.array([1.0, 1.0, -1.0, 1.0])
-        return superpose(
-            [
-                (signed[k], make_state(pair, {"a1": v1, "a2": v2}))
-                for k, (v1, v2) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)))
-                if abs(signed[k]) > 0.0
-            ]
-        )
+        return _pair_state(pair, ("a1", "a2"), signed, {})
 
 
 GATE_FRAME_ATOMS = ("a1", "a2", "a1", "a2")
@@ -633,7 +566,7 @@ def run_gate(
     *,
     amps,
     purified=True,
-) -> GateRunRecord:
+) -> Outcome:
     """Run the phase gate on the given input amplitudes.
 
     Raw mode applies the palindrome once and scores the unconditioned
@@ -649,7 +582,7 @@ def run_gate(
         circ = GateCircuit(noise, applications=1)
         s = circ.initial_state(amps, circ.draw_levels(chooser))
         s = circ.apply(s, slot=0)
-        return GateRunRecord(True, None, s, fidelity(s, circ.ideal_target(amps)))
+        return Outcome(True, fidelity(s, circ.ideal_target(amps)), s)
     circ = GateCircuit(noise, applications=4)
     levels = circ.draw_levels(chooser)
     s = circ.initial_state(amps, levels)
@@ -659,7 +592,7 @@ def run_gate(
         idx, s = measure_via(chooser, s, "a1", QUBIT_VS_PARKED, f"cp{k}")
         if idx == 1:
             # a failed run reports its state on the full register
-            return GateRunRecord(False, k, circ.grow(s, -1, levels), None)
+            return Outcome(False, None, circ.grow(s, -1, levels))
         s = single_atom_op(s, GATE_FRAME_ATOMS[k], "not_01")
     s = single_atom_op(s, "a1", "phase_z")
-    return GateRunRecord(True, None, s, fidelity(s, circ.ideal_target(amps)))
+    return Outcome(True, fidelity(s, circ.ideal_target(amps)), s)

@@ -51,16 +51,16 @@ def make_cfg(protocol, noise, **kwargs):
 def direct_run(cfg, chooser, circuit=None):
     """One whole protocol run; returns (success, attempts, fidelity, state)."""
     amps = cfg.protocol_params.get("amps")
+    attempts = 1
     if cfg.protocol == "joint_measure":
         out = run_joint_measure(cfg.noise, chooser, amps=amps)
-        return out.ok, 1, out.fidelity, out.state
-    if cfg.protocol == "epr":
+    elif cfg.protocol == "epr":
         circuit = circuit or EprCircuit(cfg.noise)
-        res = run_epr(circuit, chooser, cfg.max_attempts)
-        return res.success, res.attempts, res.fidelity, res.state
-    purified = cfg.protocol == "gate_purified"
-    rec = run_gate(cfg.noise, chooser, amps=amps, purified=purified)
-    return rec.ok, 1, rec.fidelity, rec.state
+        attempts, out = run_epr(circuit, chooser, cfg.max_attempts)
+    else:
+        purified = cfg.protocol == "gate_purified"
+        out = run_gate(cfg.noise, chooser, amps=amps, purified=purified)
+    return out.ok, attempts, out.fidelity, out.state
 
 
 def direct_trials(cfg):

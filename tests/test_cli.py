@@ -295,6 +295,17 @@ class TestRunCommand:
         assert result.stderr.startswith("error:"), result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("key", ["couplings", "detunings"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bath_exits_one_with_one_line(self, tmp_path, key, value):
+        bath = {"couplings": [0.2], "detunings": [0.0]}
+        bath[key] = [value]
+        noise = {"backend": "bath", "eta_local": 0.05, "bath": bath}
+        cfg = write_config(tmp_path, {**SMALL_RUN, "noise": noise})
+        result = invoke("run", "--config", str(cfg), "--out", str(tmp_path))
+        assert result.returncode == 1
+        assert result.stderr == f"error: bath {key} must be finite\n"
+
     def test_invalid_report_raises_before_writing(self, tmp_path):
         cfg = parse_config({**SMALL_RUN, "trials": 3})
         stats, results = run_trials(cfg)

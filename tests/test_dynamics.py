@@ -203,6 +203,11 @@ class TestBathCoupling:
             BathSpec((0.1,) * 7, (0.0,) * 7)
         with pytest.raises(ValueError, match="p_therm"):
             BathSpec((0.1,), (0.0,), p_therm=1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="couplings must be finite"):
+                BathSpec((0.1, value), (0.0, 0.0))
+            with pytest.raises(ValueError, match="detunings must be finite"):
+                BathSpec((0.1, 0.2), (value, 0.0))
 
     def test_empty_bath_is_free(self):
         spec = SubsystemSpec([("c", "cavity")])

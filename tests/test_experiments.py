@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cavityq import experiments
 from cavityq.channels import BathSpec, NoiseConfig
@@ -384,6 +386,68 @@ def test_zero_mode_thermal_bath_matches_vacuum(protocol):
         leaves = [_leaf_record(leaf) for leaf in enumerate_branches(cfg)]
         runs.append((run_trials(cfg), leaves))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "protocol, noise",
+    [
+        ("joint_measure", NoiseConfig(eta_local=0.2)),
+        ("gate_purified", NoiseConfig(backend="bath", eta_local=0.05)),
+    ],
+)
+def test_enumerations_compare_by_value(protocol, noise):
+    # leaves hold states, which compare by spec and amplitudes
+    cfg = ExperimentConfig(protocol, noise)
+    first, again = enumerate_branches(cfg), enumerate_branches(cfg)
+    assert first[0].state is not again[0].state
+    assert first == again
+    assert first[0].state != first[1].state
+    assert replace(first[0], state=first[1].state) != again[0]
+
+
+@given(
+    eta_local=st.floats(0.0, 0.3),
+    extra=st.floats(0.01, 0.5),
+    phase_offset=st.floats(-np.pi, np.pi),
+)
+@example(eta_local=1e-14, extra=0.5, phase_offset=0.0)
+def test_analytic_and_vacuum_bath_trees_agree(eta_local, extra, phase_offset):
+    # the link must lose more than the cavity, so eta_trans lies above
+    # eta_local; delta and pulse_area_error exist only on the analytic
+    # backend. Leaves are matched by their outcomes: the ancilla's equal
+    # split lets roundoff pick which branch a backend walks first. A
+    # branch that weighs about WEIGHT_FLOOR may be cut on one backend and
+    # kept on the other, so a leaf missing on one side counts as weight 0
+    noises = [
+        NoiseConfig(
+            backend=backend,
+            eta_local=eta_local,
+            eta_trans=eta_local + extra,
+            phase_offset=phase_offset,
+        )
+        for backend in ("analytic", "bath")
+    ]
+    for protocol in ("joint_measure", "epr", "gate_raw", "gate_purified"):
+        analytic, bath = (
+            {
+                leaf.outcomes: leaf
+                for leaf in enumerate_branches(
+                    ExperimentConfig(protocol, noise, max_attempts=3)
+                )
+            }
+            for noise in noises
+        )
+        for outcomes in analytic.keys() ^ bath.keys():
+            leaf = analytic.get(outcomes) or bath[outcomes]
+            assert leaf.weight <= 1e-10, (protocol, outcomes)
+        for outcomes in analytic.keys() & bath.keys():
+            a, b = analytic[outcomes], bath[outcomes]
+            assert (a.success, a.attempts) == (b.success, b.attempts)
+            assert abs(a.weight - b.weight) <= 1e-10, outcomes
+            if a.fidelity is None:
+                assert b.fidelity is None
+            else:
+                assert abs(a.fidelity - b.fidelity) <= 1e-10, outcomes
 
 
 class TestProcessFidelity:

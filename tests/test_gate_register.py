@@ -29,7 +29,7 @@ from cavityq.protocols import (
 
 def full_register_run_gate(noise, chooser, amps):
     """The purified gate with every window mode in the register from the
-    start: (ok, failed_checkpoint, state, fidelity)."""
+    start: (ok, fidelity, state)."""
     circ = GateCircuit(noise, applications=4)
     amps = np.asarray(amps, dtype=complex)
     amps = amps / np.linalg.norm(amps)
@@ -47,10 +47,10 @@ def full_register_run_gate(noise, chooser, amps):
         s = circ.apply(s, slot=k, identity_signed=(k == 3))
         idx, s = measure_via(chooser, s, "a1", QUBIT_VS_PARKED, f"cp{k}")
         if idx == 1:
-            return False, k, s, None
+            return False, None, s
         s = single_atom_op(s, GATE_FRAME_ATOMS[k], "not_01")
     s = single_atom_op(s, "a1", "phase_z")
-    return True, None, s, fidelity(s, circ.ideal_target(amps))
+    return True, fidelity(s, circ.ideal_target(amps)), s
 
 
 def recorded_run_gate(noise, chooser, amps):
@@ -85,9 +85,9 @@ def test_growing_register_matches_full_register(eta_local, p_therm, amps, seed):
     chooser = SampleChooser(np.random.default_rng(seed))
     rec, sizes = recorded_run_gate(noise, chooser, amps)
     ref_chooser = SampleChooser(np.random.default_rng(seed))
-    ok, failed, state, fid = full_register_run_gate(noise, ref_chooser, amps)
+    ok, fid, state = full_register_run_gate(noise, ref_chooser, amps)
 
-    assert (rec.ok, rec.failed_checkpoint) == (ok, failed)
+    assert rec.ok == ok
     assert [(c.name, c.index) for c in chooser.trace] == [
         (c.name, c.index) for c in ref_chooser.trace
     ]
@@ -101,7 +101,11 @@ def test_growing_register_matches_full_register(eta_local, p_therm, amps, seed):
         assert rec.fidelity is None
     # application k runs on the atoms, the cavity and 3(k+1) window modes
     assert sizes == [(k, 144 * 8**k) for k in range(len(sizes))]
-    assert len(sizes) == (4 if ok else failed + 1)
+    # one checkpoint per application; a failed run stops at the one that
+    # caught it
+    cps = [c.index for c in chooser.trace if c.name.startswith("cp")]
+    assert cps == ([0] * 4 if ok else [0] * (len(cps) - 1) + [1])
+    assert len(sizes) == len(cps)
 
 
 def test_vacuum_bath_keeps_one_register():

@@ -143,6 +143,17 @@ class TestStates:
         assert norm_squared(StateVector(spec, amps)) == pytest.approx(0.09)
 
 
+    def test_value_equality(self):
+        spec = two_atom_spec()
+        s = bell(spec)
+        assert s == StateVector(spec, s.amplitudes.copy())
+        assert s != make_state(spec, {"a1": 0, "a2": 0})
+        other = SubsystemSpec([("b1", "atom"), ("b2", "atom")])
+        assert s != StateVector(other, s.amplitudes)
+        assert s != "bell"
+        assert (s, None) == (StateVector(spec, s.amplitudes), None)
+
+
 class TestApply:
     def test_single_subsystem_op(self):
         spec = atom_cavity_spec()

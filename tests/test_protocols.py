@@ -11,10 +11,10 @@ from cavityq.protocols import (
     GateCircuit,
     SampleChooser,
     ScriptedChooser,
-    establish_epr,
     gate_exposures,
     joint_measure_00,
     measure_via,
+    run_epr,
     run_gate,
     run_joint_measure,
     trace_probability,
@@ -75,7 +75,8 @@ class TestJointMeasure:
     def test_ideal_heralds_with_certainty(self, backend):
         ch = ScriptedChooser([1])
         out = run_joint_measure(NoiseConfig(backend=backend), ch)
-        assert out.ok and out.herald == 1
+        herald = ch.trace[0]
+        assert out.ok and (herald.name, herald.index) == ("jm:herald", 1)
         assert ch.trace[0].weights[1] == pytest.approx(1.0, abs=TOL)
         assert out.fidelity == pytest.approx(1.0, abs=TOL)
 
@@ -157,8 +158,10 @@ class TestEpr:
     @pytest.mark.parametrize("ancilla", [0, 1])
     def test_ideal_bell_on_first_attempt(self, backend, ancilla):
         ch = ScriptedChooser([1, ancilla])
-        res = establish_epr(NoiseConfig(backend=backend), ch)
-        assert res.success and res.attempts == 1
+        attempts, res = run_epr(
+            EprCircuit(NoiseConfig(backend=backend)), ch, DEFAULT_MAX_ATTEMPTS
+        )
+        assert res.ok and attempts == 1
         assert res.fidelity == pytest.approx(1.0, abs=TOL)
         # the spare copy reads + or - with equal weight
         assert ch.trace[1].weights[ancilla] == pytest.approx(0.5, abs=TOL)
@@ -167,15 +170,15 @@ class TestEpr:
     def test_lossy_herald_probability(self, backend):
         noise = NoiseConfig(backend=backend, eta_trans=0.2, eta_local=0.05)
         ch = ScriptedChooser([1, 0])
-        res = establish_epr(noise, ch)
+        _, res = run_epr(EprCircuit(noise), ch, DEFAULT_MAX_ATTEMPTS)
         assert ch.trace[0].weights[1] == pytest.approx(0.76, abs=TOL)
         assert res.fidelity == pytest.approx(1.0, abs=TOL)
 
     def test_retry_until_success(self):
         noise = NoiseConfig(eta_trans=0.2, eta_local=0.05)
         ch = ScriptedChooser([0, 0, 1, 0])
-        res = establish_epr(noise, ch, max_attempts=5)
-        assert res.success and res.attempts == 3
+        attempts, res = run_epr(EprCircuit(noise), ch, 5)
+        assert res.ok and attempts == 3
         assert [p.name for p in ch.trace] == [
             "try1:herald",
             "try2:herald",
@@ -186,9 +189,9 @@ class TestEpr:
     def test_attempt_budget_exhausted(self):
         noise = NoiseConfig(eta_trans=0.2, eta_local=0.05)
         ch = ScriptedChooser([0, 0])
-        res = establish_epr(noise, ch, max_attempts=2)
-        assert not res.success
-        assert res.attempts == 2 and res.state is None
+        attempts, res = run_epr(EprCircuit(noise), ch, 2)
+        assert not res.ok
+        assert attempts == 2 and res.state is None
 
     def test_thermal_corruption_lowers_fidelity(self):
         noise = NoiseConfig(
@@ -196,19 +199,19 @@ class TestEpr:
         )
         # vacuum-config branch stays exact
         ch = ScriptedChooser([0, 0, 1, 0])
-        res = establish_epr(noise, ch, max_attempts=1)
+        _, res = run_epr(EprCircuit(noise), ch, 1)
         assert res.fidelity == pytest.approx(1.0, abs=TOL)
         assert ch.trace[2].weights[1] == pytest.approx(0.76, abs=TOL)
         # a hot first-slot mode fakes copies and degrades the herald
         ch = ScriptedChooser([1, 0, 1, 0])
-        res = establish_epr(noise, ch, max_attempts=1)
+        _, res = run_epr(EprCircuit(noise), ch, 1)
         assert res.fidelity == pytest.approx(0.97724399494310998, rel=1e-9)
         assert res.fidelity < 1.0 - 1e-4
         assert ch.trace[2].weights[1] == pytest.approx(0.791, abs=1e-12)
 
     def test_bad_attempt_budget(self):
         with pytest.raises(ValueError, match="max_attempts"):
-            establish_epr(NoiseConfig(), ScriptedChooser(), max_attempts=0)
+            run_epr(EprCircuit(NoiseConfig()), ScriptedChooser(), 0)
 
     def test_default_budget_covers_lossy_runs(self):
         # failure probability 0.24^25 is far below any tolerance in use
@@ -328,7 +331,8 @@ class TestPurifiedGate:
             ch,
             amps=(0, 0, 1, 0),
         )
-        assert not rec.ok and rec.failed_checkpoint == 0
+        last = ch.trace[-1]
+        assert not rec.ok and (last.name, last.index) == ("cp0", 1)
         assert ch.trace[0].weights[1] == pytest.approx(1 - 0.8**3, abs=TOL)
 
     def test_flags_record_which_application_lost(self):
@@ -336,7 +340,8 @@ class TestPurifiedGate:
         noise = NoiseConfig(eta_local=0.2)
         ch = ScriptedChooser([0, 1])
         rec = run_gate(noise, ch, amps=(1, 0, 0, 0))
-        assert rec.failed_checkpoint == 1
+        assert not rec.ok
+        assert [(p.name, p.index) for p in ch.trace] == [("cp0", 0), ("cp1", 1)]
         t = rec.state.tensor()
         # second flag burnt, the others fresh
         spec = rec.state.spec

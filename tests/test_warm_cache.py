@@ -18,8 +18,9 @@ from cavityq.channels import NoiseConfig
 from cavityq.dynamics import BathSpec
 from cavityq.experiments import ExperimentConfig, run_trials
 from cavityq.protocols import (
+    EprCircuit,
     SampleChooser,
-    establish_epr,
+    run_epr,
     run_gate,
     run_joint_measure,
 )
@@ -72,20 +73,18 @@ def test_interleaved_bath_configs_match_cold_runs(protocol):
 
 
 def _direct_run(kind, noise):
-    """One protocol run, fully recorded."""
+    """One protocol run, fully recorded; the trace names the herald level
+    and any failed checkpoint."""
     chooser = SampleChooser(np.random.default_rng(11))
+    attempts = 1
     if kind == "joint_measure":
         out = run_joint_measure(noise, chooser)
-        record = (out.ok, out.fidelity, out.state)
     elif kind == "epr":
-        out = establish_epr(noise, chooser, max_attempts=3)
-        record = (out.success, out.attempts, out.fidelity, out.state)
+        attempts, out = run_epr(EprCircuit(noise), chooser, 3)
     else:
         out = run_gate(noise, chooser, amps=AMPS["gate_purified"])
-        record = (out.ok, out.failed_checkpoint, out.fidelity, out.state)
-    *fields, state = record
-    amps = None if state is None else state.amplitudes.tobytes()
-    return tuple(fields), amps, tuple(chooser.trace)
+    amps = None if out.state is None else out.state.amplitudes.tobytes()
+    return (out.ok, attempts, out.fidelity), amps, tuple(chooser.trace)
 
 
 def test_final_states_and_g_dwell_interleaved():
