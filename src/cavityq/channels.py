@@ -45,6 +45,7 @@ from .dynamics import (
     BathSpec,
     bath_hamiltonian,
     evolve,
+    finite_float,
     optical_pump_r_to_1,
     propagator,
     single_atom_op,
@@ -119,9 +120,8 @@ class NoiseConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        values = [getattr(self, name) for name in NOISE_SCALARS]
-        if not np.isfinite(values).all():
-            raise ValueError("noise parameters must be finite")
+        for name in NOISE_SCALARS:
+            object.__setattr__(self, name, finite_float(getattr(self, name), name))
         for name in ("eta_local", "eta_trans", "p_therm"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

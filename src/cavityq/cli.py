@@ -11,18 +11,18 @@ sweep
 list-presets
     Print the shipped preset configs, one record per line.
 
-Exit codes: 0 success, 1 invalid config, 2 tolerance violation under
-``--check``, 3 output I/O failure. Reports are deterministic: numbers are
-serialized with 17 significant digits, keys are sorted, and wall-clock
-timing goes to stderr only, so rerunning a config with the same seed
-reproduces report.json byte for byte.
+Trials run serially in this process. Exit codes: 0 success, 1 invalid
+config or usage error, 2 tolerance violation under ``--check``, 3 output
+I/O failure. Reports are deterministic: numbers are serialized with 17
+significant digits, keys are sorted, and wall-clock timing goes to
+stderr only, so rerunning a config with the same seed reproduces
+report.json byte for byte.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -33,6 +33,7 @@ import jsonschema
 
 from . import __version__
 from .channels import NOISE_SCALARS, BathSpec, NoiseConfig
+from .dynamics import finite_float
 from .experiments import (
     ExperimentConfig,
     run_sweep,
@@ -69,57 +70,40 @@ def _reject_unknown(doc, allowed, where):
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _as_number(value, name) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number")
-    return float(value)
-
-
-def _as_int(value, name) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
-    return value
-
-
 def _as_list(value, name):
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list")
     return value
 
 
-def _as_amp(value) -> complex:
-    """An amplitude is a real number or a [real, imaginary] pair."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError("complex amplitudes are [real, imaginary] pairs")
-        return complex(
-            _as_number(value[0], "amplitude"), _as_number(value[1], "amplitude")
-        )
-    return complex(_as_number(value, "amplitude"))
+def _as_amp(value):
+    """An amplitude is a number or a [real, imaginary] pair."""
+    if not isinstance(value, (list, tuple)):
+        return value
+    if len(value) != 2:
+        raise ValueError("complex amplitudes are [real, imaginary] pairs")
+    real, imag = (finite_float(v, "amplitude") for v in value)
+    return complex(real, imag)
 
 
 def _parse_noise(doc) -> NoiseConfig:
     if not isinstance(doc, dict):
         raise ValueError("noise must be an object")
     _reject_unknown(doc, _NOISE_KEYS, "noise")
-    kwargs = {}
-    if "backend" in doc:
-        kwargs["backend"] = doc["backend"]
-    for name in NOISE_SCALARS:
-        if name in doc:
-            kwargs[name] = _as_number(doc[name], name)
-    bath = doc.get("bath")
+    kwargs = dict(doc)
+    bath = kwargs.pop("bath", None)
     if bath is not None:
         if not isinstance(bath, dict):
             raise ValueError("bath must be an object or null")
         _reject_unknown(bath, {"couplings", "detunings"}, "bath")
         if "couplings" not in bath or "detunings" not in bath:
             raise ValueError("bath needs couplings and detunings")
-        couplings, detunings = (
-            tuple(_as_number(v, key) for v in _as_list(bath[key], key))
-            for key in ("couplings", "detunings")
+        kwargs["bath"] = BathSpec(
+            *(_as_list(bath[key], key) for key in ("couplings", "detunings"))
         )
-        kwargs["bath"] = BathSpec(couplings, detunings)
+        # the report schema needs a mode; the Python API allows none
+        if kwargs["bath"].n_modes == 0:
+            raise ValueError("bath needs at least one mode")
     return NoiseConfig(**kwargs)
 
 
@@ -127,28 +111,25 @@ def parse_config(doc) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
     The document mirrors the config field for field; unknown keys at any
-    level are hard errors so protocol configs cannot silently drift.
+    level are hard errors so protocol configs cannot silently drift. Only
+    the document's shape is checked here: the dataclasses own every type
+    and range rule for the values they hold.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     _reject_unknown(doc, _CONFIG_KEYS, "config")
     if "protocol" not in doc:
         raise ValueError("config needs a protocol")
-    kwargs = {"protocol": doc["protocol"]}
+    kwargs = dict(doc)
     if "noise" in doc:
         kwargs["noise"] = _parse_noise(doc["noise"])
-    for name in ("trials", "seed", "max_attempts"):
-        if name in doc:
-            kwargs[name] = _as_int(doc[name], name)
     params = doc.get("protocol_params", {})
     if not isinstance(params, dict):
         raise ValueError("protocol_params must be an object")
     parsed = {}
     for key, value in params.items():
-        if key == "amps":
-            parsed[key] = tuple(_as_amp(v) for v in _as_list(value, key))
-        else:
-            parsed[key] = value
+        value = _as_list(value, key)
+        parsed[key] = [_as_amp(v) for v in value] if key == "amps" else value
     kwargs["protocol_params"] = parsed
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -330,27 +311,25 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+def _sweep_cell(value) -> str:
+    return "" if value is None else _format_number(float(value))
+
+
 def write_sweep_csv(path: Path, parameter, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for value, stats, _ in rows:
+            # the columns after "trials" are SummaryStats fields
             writer.writerow(
                 [
                     parameter,
-                    _format_number(float(value)),
+                    _sweep_cell(value),
                     stats.trials,
-                    _format_number(float(stats.success_probability)),
-                    _format_number(float(stats.stderr)),
-                    ""
-                    if stats.mean_fidelity is None
-                    else _format_number(float(stats.mean_fidelity)),
-                    ""
-                    if stats.min_fidelity is None
-                    else _format_number(float(stats.min_fidelity)),
-                    ""
-                    if stats.stationarity_deviation is None
-                    else _format_number(float(stats.stationarity_deviation)),
+                    *(
+                        _sweep_cell(getattr(stats, name))
+                        for name in SWEEP_CSV_COLUMNS[3:]
+                    ),
                 ]
             )
 
@@ -406,6 +385,13 @@ def _fail(code, message) -> int:
     return code
 
 
+def _verdict(violations) -> int:
+    """The --check exit code: 2 if there are violations, each on stderr."""
+    for v in violations:
+        print(f"check failed: {v}", file=sys.stderr)
+    return 2 if violations else 0
+
+
 def _effective_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     overrides = {}
@@ -418,26 +404,13 @@ def _effective_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _resolve_jobs(args):
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("CAVITYQ_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError("CAVITYQ_JOBS must be an integer") from None
-    return None
-
-
 def cmd_run(args) -> int:
     try:
         cfg = _effective_config(args)
         if cfg.sweep is not None:
             raise ValueError("config has a sweep axis; use the sweep command")
-        jobs = _resolve_jobs(args)
         started = time.monotonic()
-        stats, results = run_trials(cfg, jobs=jobs)
+        stats, results = run_trials(cfg)
     except ValueError as exc:
         return _fail(1, exc)
     elapsed = time.monotonic() - started
@@ -450,21 +423,14 @@ def cmd_run(args) -> int:
         f"wrote {outdir / 'report.json'} in {elapsed:.2f}s wall clock",
         file=sys.stderr,
     )
-    if args.check:
-        violations = point_violations(cfg, stats)
-        if violations:
-            for v in violations:
-                print(f"check failed: {v}", file=sys.stderr)
-            return 2
-    return 0
+    return _verdict(point_violations(cfg, stats)) if args.check else 0
 
 
 def cmd_sweep(args) -> int:
     try:
         cfg = _effective_config(args)
-        jobs = _resolve_jobs(args)
         started = time.monotonic()
-        rows = run_sweep(cfg, jobs=jobs)
+        rows = run_sweep(cfg)
     except ValueError as exc:
         return _fail(1, exc)
     elapsed = time.monotonic() - started
@@ -482,13 +448,7 @@ def cmd_sweep(args) -> int:
         f"in {elapsed:.2f}s wall clock",
         file=sys.stderr,
     )
-    if args.check:
-        violations = sweep_violations(cfg, rows)
-        if violations:
-            for v in violations:
-                print(f"check failed: {v}", file=sys.stderr)
-            return 2
-    return 0
+    return _verdict(sweep_violations(cfg, rows)) if args.check else 0
 
 
 def cmd_list_presets(args) -> int:
@@ -543,11 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", default=".", help="output directory (default: .)"
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            help="worker processes (default: CAVITYQ_JOBS or serial)",
-        )
         p.set_defaults(func=func)
     p = sub.add_parser("list-presets", help="print the shipped presets")
     p.set_defaults(func=cmd_list_presets)
@@ -555,7 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 is the --check verdict
+        return 1 if exc.code == 2 else exc.code
     return args.func(args)
 
 

@@ -29,6 +29,8 @@ bit for bit those of an uncached run.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +54,16 @@ PUMP_COEXISTENCE_TOL = 1e-12
 THERMAL_DROP_TOL = 1e-3
 
 
+def finite_float(value, name) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number,
+    which a bool, a string or an integer too large for a float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN
+        raise ValueError(f"{name} must be finite")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """Explicit leakage environment: hard-core modes coupled to a cavity.
@@ -71,11 +83,9 @@ class BathSpec:
     p_therm: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "couplings", tuple(float(c) for c in self.couplings))
-        object.__setattr__(self, "detunings", tuple(float(d) for d in self.detunings))
         for name in ("couplings", "detunings"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"bath {name} must be finite")
+            values = tuple(finite_float(v, f"bath {name}") for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         if len(self.couplings) != len(self.detunings):
             raise ValueError("couplings and detunings lengths differ")
         if not 0 <= len(self.couplings) <= 6:

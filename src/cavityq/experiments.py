@@ -8,14 +8,14 @@ of the protocol stores the path it took, and later trials and leaves
 reuse it. Since both share the trie, tests hold them against independent
 references instead of each other: closed-form laws (the truncated
 geometric attempt law, the loss scalars) and a direct per-trial replay.
+Trials run one after another in the calling process: a trial costs
+microseconds to milliseconds, less than a worker process takes to start.
 """
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .channels import (
     check_stationarity,
     make_local_channel,
 )
+from .dynamics import finite_float
 from .protocols import (
     DEFAULT_JM_AMPS,
     DEFAULT_MAX_ATTEMPTS,
@@ -84,10 +85,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _converted(kind, values, name) -> tuple:
-    """``values`` as a tuple of ``kind``; ValueError if they are not."""
+def _amplitude(value, name) -> complex:
+    """A complex number, or a real one that `finite_float` accepts."""
+    if isinstance(value, complex):
+        return complex(value)
+    return complex(finite_float(value, name))
+
+
+def _converted(read, values, name) -> tuple:
+    """``values`` as a tuple, each read by ``read(value, name)``."""
     try:
-        return tuple(kind(v) for v in values)
+        return tuple(read(v, name) for v in values)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of numbers") from None
 
@@ -130,13 +138,13 @@ class ExperimentConfig:
             )
         if "amps" in params:
             want = 2 if self.protocol == "joint_measure" else 4
-            amps = _converted(complex, params["amps"], "amps")
+            amps = _converted(_amplitude, params["amps"], "amps")
             if len(amps) != want:
                 raise ValueError(f"amps must hold {want} amplitudes")
             params["amps"] = amps
         for key in ("durations", "start_times"):
             if key in params:
-                pair = _converted(float, params[key], key)
+                pair = _converted(finite_float, params[key], key)
                 if len(pair) != 2:
                     raise ValueError(f"{key} must hold two values")
                 params[key] = pair
@@ -148,7 +156,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"sweep parameter must be one of {SWEEP_PARAMETERS}"
                 )
-            values = _converted(float, values, "sweep values")
+            values = _converted(finite_float, values, "sweep values")
             if not values:
                 raise ValueError("sweep grid is empty")
             for v in values:
@@ -397,14 +405,6 @@ def _trial_rng(cfg: ExperimentConfig, trial: int):
     return np.random.default_rng(seq)
 
 
-def _run_share(cfg: ExperimentConfig, trials: range) -> tuple:
-    """The given trials of ``cfg``, sampled through one branch trie."""
-    if cfg.protocol == "stationarity_scan":
-        return tuple(TrialResult(True, 1, 1.0, ()) for _ in trials)
-    trie = _BranchTrie(cfg)
-    return tuple(trie.sample(_trial_rng(cfg, t)) for t in trials)
-
-
 def _scan_deviation(cfg: ExperimentConfig) -> float:
     ch = make_local_channel(cfg.noise, "cav", ("m",))
     return check_stationarity(
@@ -434,47 +434,35 @@ def summarize(results, *, stationarity_deviation=None) -> SummaryStats:
     )
 
 
-def run_trials(cfg: ExperimentConfig, jobs=None):
+def run_trials(cfg: ExperimentConfig):
     """Run ``cfg.trials`` seeded trials; returns (SummaryStats, results).
 
-    Each trial samples from its own counter-derived stream, so the result
-    list is a pure function of (cfg, seed) no matter how many worker
-    processes share the load. The pool holds at most one worker per trial
-    and per CPU, since a fork pool starts every worker at once; each
-    worker samples its contiguous share of the trials through a branch
-    trie of its own.
+    Each trial samples from its own counter-derived stream, so trial ``k``
+    is a pure function of (cfg, seed, k). All trials are sampled in turn
+    through one branch trie. A stationarity scan has no branches: its
+    trials are placeholders and its summary carries the scan's deviation.
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    n = cfg.trials
-    workers = min(jobs or 1, n, os.cpu_count() or 1)
-    if workers == 1:
-        results = _run_share(cfg, range(n))
-    else:
-        bounds = [n * i // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                partial(_run_share, cfg),
-                [range(a, b) for a, b in zip(bounds, bounds[1:])],
-            )
-            results = tuple(r for part in parts for r in part)
-    deviation = None
+    trials = range(cfg.trials)
     if cfg.protocol == "stationarity_scan":
+        results = tuple(TrialResult(True, 1, 1.0, ()) for _ in trials)
         deviation = _scan_deviation(cfg)
+    else:
+        trie = _BranchTrie(cfg)
+        results = tuple(trie.sample(_trial_rng(cfg, t)) for t in trials)
+        deviation = None
     return summarize(results, stationarity_deviation=deviation), results
 
 
-def run_sweep(cfg: ExperimentConfig, jobs=None):
+def run_sweep(cfg: ExperimentConfig):
     """Run the config once per sweep grid value.
 
     Returns a tuple of (value, SummaryStats, results) rows in grid order.
     """
     if cfg.sweep is None:
         raise ValueError("config has no sweep axis")
-    name, values = cfg.sweep
     rows = []
-    for v in values:
-        stats, results = run_trials(sweep_point(cfg, v), jobs=jobs)
+    for v in cfg.sweep[1]:
+        stats, results = run_trials(sweep_point(cfg, v))
         rows.append((v, stats, results))
     return tuple(rows)
 
@@ -485,7 +473,7 @@ def sweep_point(cfg: ExperimentConfig, value) -> ExperimentConfig:
         raise ValueError("config has no sweep axis")
     name = cfg.sweep[0]
     return replace(
-        cfg, noise=replace(cfg.noise, **{name: float(value)}), sweep=None
+        cfg, noise=replace(cfg.noise, **{name: value}), sweep=None
     )
 
 

@@ -222,9 +222,3 @@ def test_trie_matches_direct_replay_and_exact_laws(cfg):
         mass = sum(b.weight for b in branches if b.success)
         assert abs(mass - law.success_probability) <= 1e-12
 
-
-def test_jobs_share_tries_without_changing_results():
-    cfg = make_cfg("epr", LOSSY, trials=9, seed=17)
-    _, serial = run_trials(cfg)
-    _, parallel = run_trials(cfg, jobs=2)
-    assert serial == parallel == direct_trials(cfg)

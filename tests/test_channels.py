@@ -69,6 +69,26 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="eta_trans"):
             NoiseConfig(eta_trans=-0.1)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.1", "number"),
+            (True, "number"),
+            (None, "number"),
+            (float("nan"), "finite"),
+            (10**400, "finite"),
+        ],
+        ids=["string", "bool", "none", "nan", "huge_int"],
+    )
+    def test_scalars_are_finite_numbers(self, value, message):
+        for name in ("eta_local", "delta", "phase_offset"):
+            with pytest.raises(ValueError, match=f"{name} must be .*{message}"):
+                NoiseConfig(**{name: value})
+
+    def test_scalars_stored_as_floats(self):
+        n = NoiseConfig(eta_local=0, phase_offset=np.float64(0.5))
+        assert type(n.eta_local) is float and type(n.phase_offset) is float
+
     def test_thermal_needs_bath_backend(self):
         with pytest.raises(ValueError, match="thermal"):
             NoiseConfig(p_therm=0.1)

@@ -33,14 +33,25 @@ SMALL_RUN = {
     "protocol_params": {"amps": [0.6, 0.8]},
     "sweep": None,
 }
+# a stationarity scan on a two-mode bath: runs in milliseconds
+SCAN = {
+    "protocol": "stationarity_scan",
+    "noise": {
+        "backend": "bath",
+        "eta_local": 0.2,
+        "bath": {"couplings": [0.25, 0.35], "detunings": [0.0, 0.9]},
+    },
+}
+P_THERM = {"parameter": "p_therm"}
+# an integer too large for a float
+BIG = 10**400
 
 
-def invoke(*argv, env=None):
+def invoke(*argv):
     return subprocess.run(
         [sys.executable, "-m", "cavityq", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -168,20 +179,6 @@ class TestRunCommand:
         assert report["config"]["trials"] == 7
         assert report["summary"]["trials"] == 7
 
-    def test_jobs_env_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_RUN)
-        invoke("run", "--config", str(cfg), "--out", str(tmp_path / "s"))
-        import os
-
-        env = dict(os.environ, CAVITYQ_JOBS="2")
-        result = invoke(
-            "run", "--config", str(cfg), "--out", str(tmp_path / "p"), env=env
-        )
-        assert result.returncode == 0, result.stderr
-        assert (tmp_path / "s/report.json").read_bytes() == (
-            tmp_path / "p/report.json"
-        ).read_bytes()
-
     def test_check_passes_for_purified_presets(self, tmp_path):
         for preset in ("epr_ideal", "gate_eta05"):
             result = invoke(
@@ -277,6 +274,13 @@ class TestRunCommand:
                 "noise": {"backend": "analytic"},
                 "protocol_params": {"durations": [-1.0, 2.0]},
             },
+            {
+                **SMALL_RUN,
+                "noise": {
+                    "backend": "bath",
+                    "bath": {"couplings": [], "detunings": []},
+                },
+            },
         ],
         ids=[
             "amps",
@@ -286,6 +290,7 @@ class TestRunCommand:
             "nan_start_time",
             "infinite_duration",
             "negative_analytic_duration",
+            "empty_bath",
         ],
     )
     def test_malformed_config_exits_one_without_traceback(self, tmp_path, doc):
@@ -293,6 +298,65 @@ class TestRunCommand:
         result = invoke("run", "--config", str(cfg), "--out", str(tmp_path))
         assert result.returncode == 1
         assert result.stderr.startswith("error:"), result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("run", {**SCAN, "protocol_params": {"durations": "12"}}),
+            ("run", {**SCAN, "protocol_params": {"durations": [True, 1]}}),
+            ("run", {**SCAN, "protocol_params": {"durations": [BIG, 1]}}),
+            ("sweep", {**SCAN, "sweep": {**P_THERM, "values": ["0.05", False]}}),
+            ("sweep", {**SCAN, "sweep": {**P_THERM, "values": [BIG]}}),
+            ("run", {**SMALL_RUN, "noise": {"eta_local": BIG}}),
+            ("run", {**SMALL_RUN, "protocol_params": {"amps": [BIG, 0]}}),
+            ("run", {**SMALL_RUN, "protocol_params": {"amps": [[0.6, BIG], 0]}}),
+            (
+                "run",
+                {
+                    **SMALL_RUN,
+                    "noise": {
+                        "backend": "bath",
+                        "bath": {"couplings": [BIG], "detunings": [0.0]},
+                    },
+                },
+            ),
+        ],
+        ids=[
+            "string_durations",
+            "bool_duration",
+            "big_duration",
+            "string_and_bool_sweep_values",
+            "big_sweep_value",
+            "big_noise_scalar",
+            "big_amp",
+            "big_imaginary_part",
+            "big_coupling",
+        ],
+    )
+    def test_non_numbers_exit_one_without_report(self, tmp_path, command, doc):
+        # strings, bools and integers too large for a float are no numbers
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        result = invoke(command, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:"), result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--out", "unused"], 1),
+            (["run", "--config", "jm_ideal", "--jobs", "2"], 1),
+            (["run", "--help"], 0),
+        ],
+        ids=["no_config", "unknown_flag", "help"],
+    )
+    def test_usage_exit_codes(self, argv, code):
+        # 2 is reserved for --check violations
+        result = invoke(*argv)
+        assert result.returncode == code, result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("key", ["couplings", "detunings"])

@@ -203,11 +203,16 @@ class TestBathCoupling:
             BathSpec((0.1,) * 7, (0.0,) * 7)
         with pytest.raises(ValueError, match="p_therm"):
             BathSpec((0.1,), (0.0,), p_therm=1.0)
-        for value in (float("nan"), float("inf")):
+        for value in (float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="couplings must be finite"):
                 BathSpec((0.1, value), (0.0, 0.0))
             with pytest.raises(ValueError, match="detunings must be finite"):
                 BathSpec((0.1, 0.2), (value, 0.0))
+        for value in ("0.1", True):
+            with pytest.raises(ValueError, match="couplings must be a number"):
+                BathSpec((value,), (0.0,))
+            with pytest.raises(ValueError, match="detunings must be a number"):
+                BathSpec((0.1,), (value,))
 
     def test_empty_bath_is_free(self):
         spec = SubsystemSpec([("c", "cavity")])
