@@ -35,7 +35,6 @@ its link register.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -343,17 +342,30 @@ def _local_env(cavity, modes) -> list:
 
 
 def _local_blocks(cavity, modes, bath, phase_offset, dwell):
-    """(l0, l1, la) of one local dwell over (cavity, *modes).
+    """(l0, l1, la) of one local dwell over (cavity, *modes), read-only.
 
     Callers pass DWELL or a duration `check_stationarity` has checked to
-    be nonnegative, so the bath never runs backwards in time.
+    be nonnegative, so the bath never runs backwards in time. The thermal
+    occupation of ``bath`` does not enter the dwell, so channels that
+    differ only in p_therm share one build.
     """
-    return _env_blocks(
+    return _cached_local_blocks(
+        cavity, tuple(modes), bath.couplings, bath.detunings, phase_offset, dwell
+    )
+
+
+@lru_cache(maxsize=32)
+def _cached_local_blocks(cavity, modes, couplings, detunings, phase_offset, dwell):
+    bath = BathSpec(couplings, detunings)
+    blocks = _env_blocks(
         _local_env(cavity, modes),
         lambda s: _run_local_wrapper(
             s, "_src", "_tgt", cavity, modes, bath, phase_offset, dwell
         ),
     )
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
@@ -553,8 +565,12 @@ def analytic_from_bath(ch: CopyChannel, slots) -> CopyChannel:
 
 
 def _finite_pair(values, name) -> tuple:
-    pair = tuple(float(v) for v in values)
-    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+    """Two values that `finite_float` accepts, as floats."""
+    try:
+        pair = tuple(finite_float(v, name) for v in values)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2:
         raise ValueError(f"{name} must hold two finite values")
     return pair
 

@@ -218,7 +218,9 @@ def propagator(spec: SubsystemSpec, hamiltonian: LinearOp, duration: float) -> L
 
 
 @lru_cache(maxsize=256)
-def _cached_propagator(spec, hamiltonian: LinearOp, duration) -> LinearOp:
+def cached_propagator(spec, hamiltonian: LinearOp, duration) -> LinearOp:
+    """`propagator`, built once per (spec, Hamiltonian, duration) and shared
+    (see `evolve`)."""
     return propagator(spec, hamiltonian, duration)
 
 
@@ -230,7 +232,7 @@ def evolve(state: StateVector, hamiltonian: LinearOp, duration: float) -> StateV
     builders return one object per recipe, and the cache keeps the object
     alive, so a key never stands for two different Hamiltonians.
     """
-    return apply(_cached_propagator(state.spec, hamiltonian, duration), state)
+    return apply(cached_propagator(state.spec, hamiltonian, duration), state)
 
 
 def transfer(state: StateVector, atom: str, cavity, g: float, phase=0.0) -> StateVector:

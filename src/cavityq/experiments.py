@@ -86,9 +86,12 @@ def _is_int(value) -> bool:
 
 
 def _amplitude(value, name) -> complex:
-    """A complex number, or a real one that `finite_float` accepts."""
+    """A complex number with finite parts, or a real one that
+    `finite_float` accepts."""
     if isinstance(value, complex):
-        return complex(value)
+        return complex(
+            finite_float(value.real, name), finite_float(value.imag, name)
+        )
     return complex(finite_float(value, name))
 
 

@@ -290,6 +290,24 @@ def apply(op: LinearOp, state: StateVector) -> StateVector:
     return StateVector(state.spec, out)
 
 
+def apply_columns(op: LinearOp, columns: np.ndarray) -> np.ndarray:
+    """`apply` on every column of ``columns`` at once.
+
+    ``columns`` is a (total_dim, m) array whose columns are amplitude
+    vectors over the operator's spec; they need not be normalized, so
+    pushing the identity through a sequence of operators multiplies them
+    out. Returns a new (total_dim, m) array.
+    """
+    dims = op.spec.dims
+    m = columns.shape[1]
+    perm = op._perm + (len(dims),)
+    batch, dim, rest = op._block
+    block = columns.reshape(dims + (m,)).transpose(perm)
+    out = op._mat @ block.reshape(batch, dim, rest * m)
+    back = np.argsort(perm)
+    return out.reshape(block.shape).transpose(back).reshape(columns.shape)
+
+
 def norm_squared(state: StateVector) -> float:
     return float(np.vdot(state.amplitudes, state.amplitudes).real)
 

@@ -40,16 +40,24 @@ from .channels import (
     validate_channel_pair,
 )
 from .dynamics import (
+    BathSpec,
     bath_hamiltonian,
+    cached_propagator,
     evolve,
     optical_pump_r_to_1,
+    raman_hamiltonian,
     single_atom_op,
+    single_atom_operator,
     thermal_configurations,
     transfer,
 )
 from .hilbert import (
+    TOL_EXACT,
+    LinearOp,
     StateVector,
     SubsystemSpec,
+    apply,
+    apply_columns,
     extend,
     fidelity,
     from_labels_first,
@@ -420,6 +428,59 @@ def _analytic_gate_map(s, a1, a2, flag, lam, sign10):
 GATE_DIM_CAP = 3 * 3 * 2 * 2**12
 
 
+def _shared_register(n_modes):
+    """The atoms, the cavity and one set of window modes that every
+    application reuses, as on a vacuum bath: (windows, spec)."""
+    windows = tuple(
+        tuple(f"w{w}m{m}" for m in range(n_modes)) for w in range(3)
+    )
+    entries = [("a1", "atom"), ("a2", "atom"), ("cav", "cavity")]
+    spec = SubsystemSpec(
+        entries + [(m, "bathmode") for w in windows for m in w],
+        cap=GATE_DIM_CAP,
+    )
+    return windows, spec
+
+
+def _pulses(identity_signed):
+    """(atom, drive phase) of an application's four transfers."""
+    tail = np.pi if identity_signed else 0.0
+    return (("a1", 0.0), ("a2", 0.0), ("a2", tail), ("a1", tail))
+
+
+@lru_cache(maxsize=8)
+def _folded_application(couplings, detunings, identity_signed) -> np.ndarray:
+    """One bath-backend application as one unitary on its own registers.
+
+    The registers are a1, a2, cav and one set of window modes, laid out as
+    in `_shared_register`. The matrix is the identity pushed through the
+    nine cached operators that `GateCircuit.apply` applies step by step:
+    the two a2 exchanges, four transfer propagators and three dwell
+    propagators. Built once per (couplings, detunings, identity_signed);
+    the couplings carry the mode count, and the bath's thermal occupation
+    does not enter. Read-only.
+    """
+    bath = BathSpec(couplings, detunings)
+    windows, spec = _shared_register(len(couplings))
+    flip = single_atom_operator(spec, "a2", "exchange_1r")
+    ops = [flip]
+    for k, (atom, phase) in enumerate(_pulses(identity_signed)):
+        if k:
+            h = bath_hamiltonian(spec, bath, "cav", windows[k - 1])
+            ops.append(cached_propagator(spec, h, DWELL))
+        h = raman_hamiltonian(spec, atom, "cav", PULSE_RATE, phase)
+        ops.append(cached_propagator(spec, h, float(np.pi / PULSE_RATE)))
+    ops.append(flip)
+    eye = np.eye(spec.total_dim, dtype=complex)
+    fold = eye
+    for op in ops:
+        fold = apply_columns(op, fold)
+    if np.abs(fold.conj().T @ fold - eye).max() > TOL_EXACT:
+        raise AssertionError("folded gate application is not unitary")
+    fold.setflags(write=False)
+    return fold
+
+
 class GateCircuit:
     """Registers and per-application maps for the two-qubit phase gate.
 
@@ -451,8 +512,8 @@ class GateCircuit:
         self.exposures = None
         self.bath = loss_bath(noise)
         n_modes = self.bath.n_modes
-        entries = atoms + [("cav", "cavity")]
         if noise.p_therm > 0.0:
+            entries = atoms + [("cav", "cavity")]
             self.windows = tuple(
                 tuple(
                     tuple(f"a{k}w{w}m{m}" for m in range(n_modes))
@@ -466,14 +527,8 @@ class GateCircuit:
                 specs.append(SubsystemSpec(entries, cap=GATE_DIM_CAP))
             self.specs = tuple(specs)
         else:
-            shared = tuple(
-                tuple(f"w{w}m{m}" for m in range(n_modes)) for w in range(3)
-            )
+            shared, spec = _shared_register(n_modes)
             self.windows = (shared,) * applications
-            spec = SubsystemSpec(
-                entries + [(m, "bathmode") for w in shared for m in w],
-                cap=GATE_DIM_CAP,
-            )
             self.specs = (spec,) * applications
         self.spec = self.specs[-1]
 
@@ -527,6 +582,10 @@ class GateCircuit:
         half turn, flipping only the |10> sign; which half carries the
         flip is a convention, since only the relative phase between the
         two halves survives.
+
+        On a register larger than the application's own registers (a1,
+        a2, cav and the slot's window modes), as thermal applications 1
+        to 3 run, the nine steps act as one `_folded_application` matmul.
         """
         if self.noise.backend == "analytic":
             return _analytic_gate_map(
@@ -537,14 +596,17 @@ class GateCircuit:
                 self.exposures,
                 +1.0 if identity_signed else -1.0,
             )
-        tail = np.pi if identity_signed else 0.0
-        pulses = (("a1", 0.0), ("a2", 0.0), ("a2", tail), ("a1", tail))
+        windows = self.windows[slot]
+        support = ("a1", "a2", "cav") + sum(windows, ())
+        if len(s.spec.labels) > len(support):
+            fold = _folded_application(
+                self.bath.couplings, self.bath.detunings, identity_signed
+            )
+            return apply(LinearOp(s.spec, support, fold), s)
         s = single_atom_op(s, "a2", "exchange_1r")
-        for k, (atom, phase) in enumerate(pulses):
+        for k, (atom, phase) in enumerate(_pulses(identity_signed)):
             if k:
-                h = bath_hamiltonian(
-                    s.spec, self.bath, "cav", self.windows[slot][k - 1]
-                )
+                h = bath_hamiltonian(s.spec, self.bath, "cav", windows[k - 1])
                 s = evolve(s, h, DWELL)
             s = transfer(s, atom, "cav", PULSE_RATE, phase)
         return single_atom_op(s, "a2", "exchange_1r")

@@ -65,3 +65,25 @@ def test_tracer_hooks_record_a_bath_trial_and_enumeration():
     assert tracer.channel_keys
     assert tracer.leaves > 0
     assert module.surviving_wrappers() == []
+
+
+def test_tracer_sees_the_folded_thermal_gate():
+    module = load_tracer()
+    tracer = module.Tracer()
+    # an eta_local no other test uses, so the fold and its dwell
+    # propagators cannot come from a warm cache
+    noise = NoiseConfig(backend="bath", eta_local=0.0437, p_therm=0.05)
+    gate = ExperimentConfig("gate_purified", noise, trials=3, seed=2)
+    tracer.install()
+    try:
+        experiments.run_trials(gate)
+    finally:
+        tracer.uninstall()
+    counts = tracer.aggregate()
+    assert counts["dynamics.propagator"]["calls"] > 0
+    # the fold is built on the shared window labels, which no
+    # step-by-step thermal application uses
+    supports = {key[0] for key in tracer.propagator_keys}
+    assert ("cav", "w0m0") in supports
+    assert ("cav", "a0w0m0") in supports
+    assert module.surviving_wrappers() == []

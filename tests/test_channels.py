@@ -516,6 +516,19 @@ class TestStationarity:
             with pytest.raises(ValueError, match="finite"):
                 check_stationarity(ch, start_times=(0.0, np.nan))
 
+    @pytest.mark.parametrize(
+        "durations",
+        ["12", (True, 2), (1.0, 10**400)],
+        ids=["string", "bool", "huge_int"],
+    )
+    def test_timing_values_are_finite_numbers(self, durations):
+        # a string or a bool once read as (1.0, 2.0)
+        ch = bath_local(0.2)
+        with pytest.raises(ValueError, match="durations must be"):
+            check_stationarity(ch, durations=durations)
+        with pytest.raises(ValueError, match="start_times must be"):
+            check_stationarity(ch, start_times=durations)
+
     def test_link_rejects_timing(self):
         # a link has no dwell window, so no timing can change its answer
         link = make_transmission_channel(
@@ -535,6 +548,17 @@ class TestStationarity:
     def test_requires_channel_type(self):
         with pytest.raises(TypeError, match="Channel"):
             check_stationarity("not a channel")
+
+
+def test_local_blocks_shared_across_occupations():
+    # the dwell does not depend on p_therm: one read-only build serves
+    # every occupation, and each channel keeps its own bath
+    chans = [bath_local(0.0, p_therm=p, bath=SCAN_BATH) for p in (0.0, 0.05)]
+    for name in ("l0", "l1", "la"):
+        first, second = (getattr(ch, name) for ch in chans)
+        assert first is second
+        assert not first.flags.writeable
+    assert [ch.metadata["bath"].p_therm for ch in chans] == [0.0, 0.05]
 
 
 class TestDefaultLossBath:

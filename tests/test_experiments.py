@@ -61,6 +61,9 @@ class TestExperimentConfig:
             ("joint_measure", {"amps": [True, 0]}),
             ("joint_measure", {"amps": ["0.6", 0.8]}),
             ("joint_measure", {"amps": [10**400, 0]}),
+            ("joint_measure", {"amps": [complex(float("nan"), 0), 0.8]}),
+            ("joint_measure", {"amps": [0.6, complex(0, float("inf"))]}),
+            ("gate_raw", {"amps": [complex(float("-inf"), 1), 0, 0, 1]}),
         ],
         ids=[
             "string_durations",
@@ -69,6 +72,9 @@ class TestExperimentConfig:
             "bool_amp",
             "string_amp",
             "huge_amp",
+            "nan_complex_amp",
+            "inf_imag_amp",
+            "neg_inf_real_amp",
         ],
     )
     def test_number_params_checked(self, protocol, kwargs):

@@ -16,7 +16,7 @@ import pytest
 from cavityq import channels, cli, dynamics, experiments, hilbert, protocols
 from cavityq.channels import NoiseConfig
 from cavityq.dynamics import BathSpec
-from cavityq.experiments import ExperimentConfig, run_trials
+from cavityq.experiments import ExperimentConfig, run_sweep, run_trials
 from cavityq.protocols import (
     EprCircuit,
     SampleChooser,
@@ -119,3 +119,34 @@ def test_cli_reports_identical_cold_and_warm(preset, tmp_path):
     for name in ("report.json", "trials.csv"):
         cold = (tmp_path / "cold" / name).read_bytes()
         assert (tmp_path / "warm" / name).read_bytes() == cold, name
+
+
+def test_stationarity_sweep_interleaved_with_thermal_configs():
+    # local-channel blocks and gate folds do not depend on p_therm, so
+    # configs that differ only in p_therm share them
+    scan = cli.load_config("stationarity_default")
+    runs = [("scan", None)] + [
+        (protocol, replace(BASE, p_therm=p))
+        for p in (0.02, 0.05, 0.1)
+        for protocol in ("joint_measure", "epr", "gate_purified")
+    ]
+
+    def run(protocol, noise):
+        if protocol == "scan":
+            return run_sweep(scan)
+        return run_trials(config(protocol, noise))
+
+    cold = []
+    for run_args in runs:
+        clear_caches()
+        cold.append(run(*run_args))
+    clear_caches()
+    order = list(range(len(runs)))
+    for k in order + order[::-1]:
+        assert run(*runs[k]) == cold[k], runs[k]
+
+    clear_caches()
+    misses = channels._cached_local_blocks.cache_info().misses
+    rows = run_sweep(scan)
+    assert len(rows) == 4
+    assert channels._cached_local_blocks.cache_info().misses == misses + 1
