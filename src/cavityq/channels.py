@@ -16,12 +16,16 @@ cavity for DWELL while coupled to explicit hard-core modes, reabsorb with
 a second exact pulse, restore the source. Confining leakage to the dwell
 window keeps both transfers exact, so a tuned single resonant mode loses
 the photon with probability sin^2(G * DWELL) and nothing else: couplings
-come from a closed form, not a fit. Its branch operators are matrices
-over the environment registers. The "analytic" backend replaces the
-environment with c-numbers and per-use flag registers; it is the twin of
-the bath backend on a vacuum environment and is the only backend that
-carries the systematic drive offsets (detuning, pulse-area error) as pure
-phases and amplitudes.
+come from a closed form, not a fit. A link splits the photon into its
+link register instead of dwelling. Each sequence is compiled once into
+operators on fixed registers: basis states pushed through them give the
+branch operators, matrices over the environment registers, and a use
+applies them folded into one unitary, then repumps the source.
+
+The "analytic" backend replaces the environment with c-numbers and
+per-use flag registers; it is the twin of the bath backend on a vacuum
+environment and is the only backend that carries the systematic drive
+offsets (detuning, pulse-area error) as pure phases and amplitudes.
 
 A channel names its own registers. Its constructor takes one name per
 use slot, and ``CopyChannel.registers`` lists the (label, kind) pairs a
@@ -36,25 +40,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .dynamics import (
     BathSpec,
     bath_hamiltonian,
-    evolve,
+    cached_propagator,
     finite_float,
     optical_pump_r_to_1,
     propagator,
-    single_atom_op,
-    transfer,
+    single_atom_operator,
+    transfer_op,
 )
 from .hilbert import (
     LinearOp,
     StateVector,
     SubsystemSpec,
     apply,
+    fold,
     from_labels_first,
     labels_first,
     make_state,
@@ -150,8 +155,9 @@ class CopyChannel:
     (label, kind) pair the channel acts on over all its slots, in
     register order. ``link`` marks an inter-cavity channel, ``duration``
     is the dwell window (zero for a link), and ``metadata`` carries the
-    per-slot registers under ``"slots"`` and the construction recipe
-    needed to apply or rebuild the channel.
+    per-slot registers under ``"slots"``; a bath channel also carries
+    each slot's environment registers in `_copy_ops` order under
+    ``"supports"`` and its compiled copy's key under ``"recipe"``.
     """
 
     backend: str
@@ -246,85 +252,83 @@ def _analytic_channel(noise: NoiseConfig, slots, eta, link, duration):
     return _flag_channel(link, survive, copy, loss, duration, slots)
 
 
-def _run_local_wrapper(s, src, tgt, cavity, modes, bath, phase_offset, dwell):
-    """Arm target, emit, dwell against the bath, reabsorb, restore source."""
-    s = single_atom_op(s, tgt, "exchange_0r")
-    # built even at zero dwell, so its label checks run on every use
-    background = bath_hamiltonian(s.spec, bath, cavity, modes)
-    s = transfer(s, src, cavity, PULSE_RATE, phase_offset)
-    if dwell > 0.0:
-        s = evolve(s, background, dwell)
-    s = transfer(s, tgt, cavity, PULSE_RATE, phase_offset)
-    s = single_atom_op(s, src, "exchange_1r")
-    s = single_atom_op(s, tgt, "exchange_0r")
-    return optical_pump_r_to_1(s, src)
+_ATOMS = [("_src", "atom"), ("_tgt", "atom")]
 
 
-@lru_cache(maxsize=32)
-def _beamsplitter_op(spec, cavity, link, eta) -> LinearOp:
-    """Partial photon swap from a cavity into a link register.
+def _local_env(cavity, modes) -> list:
+    return [(cavity, "cavity")] + [(m, "bathmode") for m in modes]
 
-    The occupied-occupied completion picks up a sign so the map stays
-    unitary on the full hard-core space; no protocol ever populates it.
-    Built once per (spec, cavity, link, eta) and shared.
+
+def _copy_ops(recipe) -> list:
+    """One bath copy's pulse sequence as operators on fixed registers:
+    ``_src``, ``_tgt``, then cavity ``c`` and modes ``m0``... for a local
+    recipe ("local", couplings, detunings, phase_offset, dwell), cavities
+    ``cs``, ``ct`` and link ``l`` for a link recipe ("link", eta,
+    phase_offset). Arm the target, emit, carry the photon (dwell, or split
+    it into the link and swap the rest into the target cavity), reabsorb,
+    restore the source; callers then run the non-unitary source repump.
     """
-    c = np.sqrt(1.0 - eta)
-    s = np.sqrt(eta)
-    m = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, c, s, 0],
-            [0, -s, c, 0],
-            [0, 0, 0, -1],
-        ],
-        dtype=complex,
-    )
-    return LinearOp(spec, (cavity, link), m)
+    kind, *params = recipe
+    if kind == "local":
+        couplings, detunings, phase_offset, dwell = params
+        modes = tuple(f"m{k}" for k in range(len(couplings)))
+        spec = SubsystemSpec(_ATOMS + _local_env("c", modes))
+        emit = absorb = "c"
+        carry = []
+        if dwell > 0.0:
+            h = bath_hamiltonian(spec, BathSpec(couplings, detunings), "c", modes)
+            carry.append(cached_propagator(spec, h, dwell))
+    else:
+        eta, phase_offset = params
+        spec = SubsystemSpec(
+            _ATOMS + [("cs", "cavity"), ("ct", "cavity"), ("l", "bathmode")]
+        )
+        emit, absorb = "cs", "ct"
+        c, s = np.sqrt(1.0 - eta), np.sqrt(eta)
+        # the occupied-occupied completion picks up a sign so the split
+        # stays unitary on the full hard-core space; no protocol reaches it
+        split = [[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, -1]]
+        swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        carry = [LinearOp(spec, ("cs", "l"), split)]
+        carry.append(LinearOp(spec, ("cs", "ct"), swap))
+    arm = single_atom_operator(spec, "_tgt", "exchange_0r")
+    return [
+        arm,
+        transfer_op(spec, "_src", emit, PULSE_RATE, phase_offset),
+        *carry,
+        transfer_op(spec, "_tgt", absorb, PULSE_RATE, phase_offset),
+        single_atom_operator(spec, "_src", "exchange_1r"),
+        arm,
+    ]
 
 
-@lru_cache(maxsize=32)
-def _swap_op(spec, a, b) -> LinearOp:
-    m = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    return LinearOp(spec, (a, b), m)
+def _env_blocks(ops):
+    """Column-by-column environment blocks (l0, l1, la) of a copy, read-only.
 
-
-def _run_trans_wrapper(s, src, tgt, cav_s, cav_t, link, eta, phase_offset):
-    """Emit at the source cavity, route through the lossy link, reabsorb."""
-    s = single_atom_op(s, tgt, "exchange_0r")
-    s = transfer(s, src, cav_s, PULSE_RATE, phase_offset)
-    s = apply(_beamsplitter_op(s.spec, cav_s, link, eta), s)
-    s = apply(_swap_op(s.spec, cav_s, cav_t), s)
-    s = transfer(s, tgt, cav_t, PULSE_RATE, phase_offset)
-    s = single_atom_op(s, src, "exchange_1r")
-    s = single_atom_op(s, tgt, "exchange_0r")
-    return optical_pump_r_to_1(s, src)
-
-
-def _env_blocks(env, wrapper):
-    """Column-by-column environment blocks (l0, l1, la) of a copy wrapper.
-
-    Runs the wrapper on atoms ``_src``, ``_tgt`` and the (label, kind)
-    pairs ``env`` from source levels 0 and 1 for every environment basis
-    state and reads the amplitudes that stay in each atomic block: (0,0)
-    for survive_0, (1,1) for survive_1, (1,0) for loss.
+    Pushes source levels 0 and 1 with an empty target and every
+    environment basis state through ``ops`` and the source repump, one
+    `apply` per step, and reads the amplitudes that stay in each atomic
+    block: (0,0) for survive_0, (1,1) for survive_1, (1,0) for loss.
     """
-    spec = SubsystemSpec([("_src", "atom"), ("_tgt", "atom")] + list(env))
-    env_labels = [label for label, _ in env]
+    spec = ops[0].spec
+    env_labels = spec.labels[2:]
     d = 2 ** len(env_labels)
+
+    def run(src, levels):
+        s = make_state(spec, {"_src": src, "_tgt": 0, **levels})
+        for op in ops:
+            s = apply(op, s)
+        return optical_pump_r_to_1(s, "_src").tensor().reshape(3, 3, d)
+
     l0, l1, la = (np.zeros((d, d), dtype=complex) for _ in range(3))
     for col, occ in enumerate(itertools.product((0, 1), repeat=len(env_labels))):
         levels = dict(zip(env_labels, occ))
-        out0 = wrapper(make_state(spec, {"_src": 0, "_tgt": 0, **levels}))
-        out0 = out0.tensor().reshape(3, 3, d)
+        out0, out1 = (run(src, levels) for src in (0, 1))
         l0[:, col] = out0[0, 0]
-        out1 = wrapper(make_state(spec, {"_src": 1, "_tgt": 0, **levels}))
-        out1 = out1.tensor().reshape(3, 3, d)
         l1[:, col] = out1[1, 1]
         la[:, col] = out1[1, 0]
         if not any(occ):
-            # vacuum environment: the wrapper must terminate in exactly the
+            # vacuum environment: the copy must terminate in exactly the
             # two advertised atomic branches
             stray0 = np.abs(out0).sum() - np.abs(out0[0, 0]).sum()
             stray1 = (
@@ -334,38 +338,26 @@ def _env_blocks(env, wrapper):
             )
             if stray0 > CHANNEL_DOMAIN_TOL or stray1 > CHANNEL_DOMAIN_TOL:
                 raise AssertionError("copy wrapper left stray atomic amplitude")
+    for block in (l0, l1, la):
+        block.setflags(write=False)
     return l0, l1, la
 
 
-def _local_env(cavity, modes) -> list:
-    return [(cavity, "cavity")] + [(m, "bathmode") for m in modes]
+class _Compiled:
+    """A recipe's operators (see `_copy_ops`), environment blocks and, from
+    first use, folded unitary. `_compiled` builds one per recipe, which
+    holds no register name and no p_therm, so such channels share it."""
+
+    def __init__(self, recipe):
+        self.ops = _copy_ops(recipe)
+        self.blocks = _env_blocks(self.ops)
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        return fold(self.ops)
 
 
-def _local_blocks(cavity, modes, bath, phase_offset, dwell):
-    """(l0, l1, la) of one local dwell over (cavity, *modes), read-only.
-
-    Callers pass DWELL or a duration `check_stationarity` has checked to
-    be nonnegative, so the bath never runs backwards in time. The thermal
-    occupation of ``bath`` does not enter the dwell, so channels that
-    differ only in p_therm share one build.
-    """
-    return _cached_local_blocks(
-        cavity, tuple(modes), bath.couplings, bath.detunings, phase_offset, dwell
-    )
-
-
-@lru_cache(maxsize=32)
-def _cached_local_blocks(cavity, modes, couplings, detunings, phase_offset, dwell):
-    bath = BathSpec(couplings, detunings)
-    blocks = _env_blocks(
-        _local_env(cavity, modes),
-        lambda s: _run_local_wrapper(
-            s, "_src", "_tgt", cavity, modes, bath, phase_offset, dwell
-        ),
-    )
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
+_compiled = lru_cache(maxsize=8)(_Compiled)
 
 
 def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
@@ -387,9 +379,8 @@ def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
         (s,) if n == 1 else tuple(f"{s}m{k}" for k in range(n))
         for s in _checked_slots(slots)
     )
-    l0, l1, la = _local_blocks(
-        cavity, slot_modes[0], bath, noise.phase_offset, DWELL
-    )
+    recipe = ("local", bath.couplings, bath.detunings, noise.phase_offset, DWELL)
+    l0, l1, la = _compiled(recipe).blocks
     vac_copy = l1[0, 0]
     if noise.bath is None and abs(vac_copy - np.sqrt(1.0 - noise.eta_local)) > 1e-12:
         raise AssertionError(
@@ -397,14 +388,14 @@ def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
         )
     meta = {
         "slots": slot_modes,
+        "supports": tuple((cavity,) + modes for modes in slot_modes),
+        "recipe": recipe,
         "bath": bath,
-        "phase_offset": noise.phase_offset,
         "vacuum_survival": complex(vac_copy),
     }
-    env_labels = (cavity,) + slot_modes[0]
     registers = tuple(_local_env(cavity, sum(slot_modes, ())))
     return CopyChannel(
-        "bath", False, l0, l1, la, env_labels, registers, DWELL, meta
+        "bath", False, l0, l1, la, meta["supports"][0], registers, DWELL, meta
     )
 
 
@@ -427,20 +418,16 @@ def make_transmission_channel(noise: NoiseConfig, cavities, slots) -> CopyChanne
     slots = _checked_slots(slots)
     source, target = cavities
     cavity_env = [(source, "cavity"), (target, "cavity")]
-    l0, l1, la = _env_blocks(
-        cavity_env + [(slots[0], "bathmode")],
-        lambda s: _run_trans_wrapper(
-            s, "_src", "_tgt", source, target, slots[0], eta, noise.phase_offset
-        ),
-    )
+    recipe = ("link", eta, noise.phase_offset)
+    l0, l1, la = _compiled(recipe).blocks
     if abs(l1[0, 0] - np.sqrt(1.0 - eta)) > 1e-12:
         raise AssertionError(
             "link transmission disagrees with its closed-form survival amplitude"
         )
-    meta = {"slots": slots, "eta": float(eta), "phase_offset": noise.phase_offset}
-    env_labels = (source, target, slots[0])
+    supports = tuple((source, target, s) for s in slots)
+    meta = {"slots": slots, "supports": supports, "recipe": recipe}
     registers = tuple(cavity_env + [(s, "bathmode") for s in slots])
-    return CopyChannel("bath", True, l0, l1, la, env_labels, registers, 0.0, meta)
+    return CopyChannel("bath", True, l0, l1, la, supports[0], registers, 0.0, meta)
 
 
 def _loss_norm(ch: CopyChannel) -> float:
@@ -494,9 +481,11 @@ def _assert_channel_domain(s: StateVector, src: str, tgt: str, *, scalar_map):
 def _copy_apply(s: StateVector, ch: CopyChannel, atoms, slot):
     """Domain check, slot lookup and backend step of either apply.
 
-    Analytic channels burn one flag per slot; bath channels dwell against
-    that slot's fresh mode set or link register, so a photon lost in an
-    earlier window can never be recaptured by a later one.
+    Analytic channels burn one flag per slot; bath channels act on that
+    slot's fresh mode set or link register, so a photon lost in an
+    earlier window can never be recaptured by a later one. A bath copy is
+    its recipe's folded unitary on the atoms and the slot's registers,
+    then the source repump.
     """
     src, tgt = atoms
     analytic = ch.backend == "analytic"
@@ -504,17 +493,16 @@ def _copy_apply(s: StateVector, ch: CopyChannel, atoms, slot):
     m = ch.metadata
     if not 0 <= slot < len(m["slots"]):
         raise ValueError(f"{ch.backend} channel has no register for slot {slot}")
-    reg = m["slots"][slot]
-    if ch.link and not analytic:
-        cav_s, cav_t = ch.env_labels[:2]
-        return _run_trans_wrapper(
-            s, src, tgt, cav_s, cav_t, reg, m["eta"], m["phase_offset"]
-        )
     if not analytic:
-        return _run_local_wrapper(
-            s, src, tgt, ch.env_labels[0], reg, m["bath"],
-            m["phase_offset"], ch.duration,
-        )
+        support = m["supports"][slot]
+        kinds = dict(ch.registers)
+        for label in support:
+            if s.spec.kind(label) != kinds[label]:
+                raise ValueError(f"{label!r} is not a {kinds[label]}")
+        u = _compiled(m["recipe"]).unitary
+        s = apply(LinearOp(s.spec, (src, tgt) + support, u), s)
+        return optical_pump_r_to_1(s, src)
+    reg = m["slots"][slot]
     # amplitude surgery: source |0> components scale by the survive
     # c-number whether the target is fresh or parked; source |1>
     # components split into the copy branch and the flagged loss branch
@@ -623,7 +611,7 @@ def check_stationarity(ch, durations=None, start_times=None):
     first, second = (
         (ch.l0, ch.l1)
         if d == ch.duration
-        else _local_blocks(cavity, modes, bath, m["phase_offset"], d)[:2]
+        else _compiled(m["recipe"][:-1] + (d,)).blocks[:2]
         for d in (d1, d2)
     )
     forward = second[1] @ gap_u @ first[0]

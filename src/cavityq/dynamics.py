@@ -21,9 +21,9 @@ Hamiltonian, propagator and single-atom operator is built once per process
 and then reused. The builders' caches are bounded ``lru_cache`` tables keyed
 on the hashable inputs that fully determine the operator, so one recipe
 yields one object, and the propagator cache is keyed on that object (see
-`evolve`). A cached object is exactly what a fresh build would return, and
-every state-level step and guard still runs on every use, so results are
-bit for bit those of an uncached run.
+`evolve`). A cached object is exactly what a fresh build would return, so
+a cache changes no result: a step applied to a state, or a sequence
+folded from these operators, is bit for bit what an uncached build gives.
 """
 
 from __future__ import annotations
@@ -235,6 +235,15 @@ def evolve(state: StateVector, hamiltonian: LinearOp, duration: float) -> StateV
     return apply(cached_propagator(state.spec, hamiltonian, duration), state)
 
 
+def transfer_op(spec, atom, cavity, g, phase=0.0) -> LinearOp:
+    """`transfer` as a shared operator (see `evolve`), for operator
+    sequences that `cavityq.hilbert.fold` turns into one unitary."""
+    if g <= 0.0:
+        raise ValueError(f"pi time undefined for g = {g}")
+    h = raman_hamiltonian(spec, atom, cavity, g, phase)
+    return cached_propagator(spec, h, float(np.pi / g))
+
+
 def transfer(state: StateVector, atom: str, cavity, g: float, phase=0.0) -> StateVector:
     """Resonant pi pulse on one atom: one full cavity-assisted transfer.
 
@@ -243,10 +252,7 @@ def transfer(state: StateVector, atom: str, cavity, g: float, phase=0.0) -> Stat
     its cavity is left alone. The pulse lasts pi/g and is exact: no bath
     acts during it.
     """
-    if g <= 0.0:
-        raise ValueError(f"pi time undefined for g = {g}")
-    h = raman_hamiltonian(state.spec, atom, cavity, g, phase)
-    return evolve(state, h, float(np.pi / g))
+    return apply(transfer_op(state.spec, atom, cavity, g, phase), state)
 
 
 _SQ2 = 1.0 / np.sqrt(2.0)

@@ -230,11 +230,14 @@ class LinearOp:
     """Dense operator supported on a subset of subsystems.
 
     ``matrix`` is square over the support labels' dimensions in the listed
-    order, row-major; it is copied and stored read-only. An operator is
-    bound to its spec, so the axis permutation that brings its support
-    together in a state tensor is worked out once, here. Operators are
-    shared once cached, and `cavityq.dynamics` keys its propagator cache
-    on the operator object, so nothing may change one in place.
+    order, row-major, and is stored read-only: a read-only array that owns
+    its memory, such as a `fold`, is bound without a copy, and any other
+    matrix is copied, so no operator aliases memory a caller can write.
+    An operator is bound to its spec, so the axis permutation that brings
+    its support together in a state tensor is worked out once, here.
+    Operators are shared once cached, and `cavityq.dynamics` keys its
+    propagator cache on the operator object, so nothing may change one
+    in place.
     """
 
     def __init__(self, spec, support, matrix):
@@ -245,7 +248,9 @@ class LinearOp:
         axes = [spec.axis(l) for l in self.support]
         dim = math.prod(spec.dims[a] for a in axes)
         self.support_dim = dim
-        mat = np.array(matrix, dtype=np.complex128)
+        mat = np.asarray(matrix, dtype=np.complex128)
+        if mat.flags.writeable or mat.base is not None:
+            mat = mat.copy()
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"operator on {self.support} needs a {dim}x{dim} matrix, "
@@ -290,22 +295,29 @@ def apply(op: LinearOp, state: StateVector) -> StateVector:
     return StateVector(state.spec, out)
 
 
-def apply_columns(op: LinearOp, columns: np.ndarray) -> np.ndarray:
-    """`apply` on every column of ``columns`` at once.
-
-    ``columns`` is a (total_dim, m) array whose columns are amplitude
-    vectors over the operator's spec; they need not be normalized, so
-    pushing the identity through a sequence of operators multiplies them
-    out. Returns a new (total_dim, m) array.
-    """
-    dims = op.spec.dims
-    m = columns.shape[1]
-    perm = op._perm + (len(dims),)
-    batch, dim, rest = op._block
-    block = columns.reshape(dims + (m,)).transpose(perm)
-    out = op._mat @ block.reshape(batch, dim, rest * m)
-    back = np.argsort(perm)
-    return out.reshape(block.shape).transpose(back).reshape(columns.shape)
+def fold(ops) -> np.ndarray:
+    """Operators on one spec, first applied first, as one read-only
+    matrix over its whole space, asserted unitary within TOL_EXACT: the
+    identity pushed through each as `apply` pushes a state, its columns
+    riding along as a last batch axis."""
+    ops = list(ops)
+    spec = ops[0].spec
+    if any(op.spec != spec for op in ops):
+        raise ValueError("folded operators must share one spec")
+    n = spec.total_dim
+    eye = np.eye(n, dtype=np.complex128)
+    out = eye
+    for op in ops:
+        perm = op._perm + (len(spec.dims),)
+        batch, dim, rest = op._block
+        block = out.reshape(spec.dims + (n,)).transpose(perm)
+        out = op._mat @ block.reshape(batch, dim, rest * n)
+        out = out.reshape(block.shape).transpose(np.argsort(perm)).reshape(n, n)
+    if np.abs(out.conj().T @ out - eye).max() > TOL_EXACT:
+        raise AssertionError("folded operator sequence is not unitary")
+    out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 def norm_squared(state: StateVector) -> float:

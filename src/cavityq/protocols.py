@@ -45,21 +45,20 @@ from .dynamics import (
     cached_propagator,
     evolve,
     optical_pump_r_to_1,
-    raman_hamiltonian,
     single_atom_op,
     single_atom_operator,
     thermal_configurations,
     transfer,
+    transfer_op,
 )
 from .hilbert import (
-    TOL_EXACT,
     LinearOp,
     StateVector,
     SubsystemSpec,
     apply,
-    apply_columns,
     extend,
     fidelity,
+    fold,
     from_labels_first,
     labels_first,
     make_state,
@@ -456,9 +455,9 @@ def _folded_application(couplings, detunings, identity_signed) -> np.ndarray:
     in `_shared_register`. The matrix is the identity pushed through the
     nine cached operators that `GateCircuit.apply` applies step by step:
     the two a2 exchanges, four transfer propagators and three dwell
-    propagators. Built once per (couplings, detunings, identity_signed);
-    the couplings carry the mode count, and the bath's thermal occupation
-    does not enter. Read-only.
+    propagators (`hilbert.fold`). Built once per (couplings, detunings,
+    identity_signed); the couplings carry the mode count, and the bath's
+    thermal occupation does not enter. Read-only.
     """
     bath = BathSpec(couplings, detunings)
     windows, spec = _shared_register(len(couplings))
@@ -468,17 +467,9 @@ def _folded_application(couplings, detunings, identity_signed) -> np.ndarray:
         if k:
             h = bath_hamiltonian(spec, bath, "cav", windows[k - 1])
             ops.append(cached_propagator(spec, h, DWELL))
-        h = raman_hamiltonian(spec, atom, "cav", PULSE_RATE, phase)
-        ops.append(cached_propagator(spec, h, float(np.pi / PULSE_RATE)))
+        ops.append(transfer_op(spec, atom, "cav", PULSE_RATE, phase))
     ops.append(flip)
-    eye = np.eye(spec.total_dim, dtype=complex)
-    fold = eye
-    for op in ops:
-        fold = apply_columns(op, fold)
-    if np.abs(fold.conj().T @ fold - eye).max() > TOL_EXACT:
-        raise AssertionError("folded gate application is not unitary")
-    fold.setflags(write=False)
-    return fold
+    return fold(ops)
 
 
 class GateCircuit:

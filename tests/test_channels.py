@@ -561,6 +561,37 @@ def test_local_blocks_shared_across_occupations():
     assert [ch.metadata["bath"].p_therm for ch in chans] == [0.0, 0.05]
 
 
+@pytest.mark.parametrize(
+    "link, wrong",
+    [
+        (False, ("c", "bathmode")),
+        (False, ("b0", "cavity")),
+        (True, ("c1", "bathmode")),
+        (True, ("c2", "bathmode")),
+        (True, ("l0", "cavity")),
+    ],
+)
+def test_bath_apply_checks_register_kinds(link, wrong):
+    # cavities and bath modes are both two-level, so a copy bound to its
+    # registers by label alone would run on either; each slot register
+    # must have the kind the channel lists for it
+    noise = NoiseConfig(backend="bath", eta_local=0.1, eta_trans=0.2)
+    if link:
+        ch = make_transmission_channel(noise, ("c1", "c2"), ("l0",))
+        apply_copy = transmission_apply
+    else:
+        ch = make_local_channel(noise, "c", ("b0",))
+        apply_copy = local_channel_apply
+    registers = dict(ch.registers)
+    label, kind = wrong
+    assert registers[label] != kind
+    registers[label] = kind
+    spec = SubsystemSpec([("i", "atom"), ("j", "atom")] + list(registers.items()))
+    s = make_state(spec, {"i": 1, "j": 0, **{r: 0 for r in registers}})
+    with pytest.raises(ValueError, match=f"{label!r} is not a"):
+        apply_copy(s, ch, ("i", "j"))
+
+
 class TestDefaultLossBath:
     def test_closed_form_coupling(self):
         b = default_loss_bath(0.2)

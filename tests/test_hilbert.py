@@ -16,6 +16,7 @@ from cavityq.hilbert import (
     apply,
     extend,
     fidelity,
+    fold,
     from_labels_first,
     labels_first,
     make_state,
@@ -232,6 +233,49 @@ class TestApply:
         assert op.dense()[0, 0] == 1.0
         with pytest.raises(ValueError):
             op.dense()[0, 0] = 5.0
+
+    def test_read_only_matrix_is_bound_without_a_copy(self):
+        # a compiled matrix is bound to every state's spec it meets
+        m = np.eye(6, dtype=complex)
+        m.setflags(write=False)
+        other = SubsystemSpec([("x", "atom"), ("y", "cavity")])
+        for spec in (atom_cavity_spec(), other):
+            assert LinearOp(spec, spec.labels, m).dense() is m
+
+    def test_caller_writable_memory_is_copied(self):
+        spec = atom_cavity_spec()
+        m = np.eye(6, dtype=complex)
+        view = m[:]
+        view.setflags(write=False)
+        ops = [LinearOp(spec, ("a1", "c"), a) for a in (m, view)]
+        m[0, 0] = 5.0
+        for op in ops:
+            assert op.dense()[0, 0] == 1.0
+            assert not np.shares_memory(op.dense(), m)
+
+
+class TestFold:
+    def test_sequence_folds_first_applied_first(self):
+        spec = atom_cavity_spec()
+        rng = np.random.default_rng(3)
+        q1, q2 = (
+            np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            for d in (3, 6)
+        )
+        ops = [LinearOp(spec, ("a1",), q1), LinearOp(spec, ("c", "a1"), q2)]
+        u = fold(ops)
+        assert not u.flags.writeable
+        s = StateVector(spec, rng.normal(size=6) / 3)
+        want = apply(ops[1], apply(ops[0], s))
+        np.testing.assert_allclose(u @ s.amplitudes, want.amplitudes, atol=TOL)
+
+    def test_rejects_non_unitary_and_mixed_specs(self):
+        spec = atom_cavity_spec()
+        with pytest.raises(AssertionError, match="not unitary"):
+            fold([LinearOp(spec, ("a1",), np.diag([1, 1, 0]))])
+        other = SubsystemSpec([("a1", "atom"), ("d", "cavity")])
+        with pytest.raises(ValueError, match="one spec"):
+            fold([LinearOp(s, ("a1",), np.eye(3)) for s in (spec, other)])
 
 
 def _full_space_matrix(spec, support, m):

@@ -146,7 +146,7 @@ def test_stationarity_sweep_interleaved_with_thermal_configs():
         assert run(*runs[k]) == cold[k], runs[k]
 
     clear_caches()
-    misses = channels._cached_local_blocks.cache_info().misses
+    misses = channels._compiled.cache_info().misses
     rows = run_sweep(scan)
     assert len(rows) == 4
-    assert channels._cached_local_blocks.cache_info().misses == misses + 1
+    assert channels._compiled.cache_info().misses == misses + 1
