@@ -17,10 +17,10 @@ a second exact pulse, restore the source. Confining leakage to the dwell
 window keeps both transfers exact, so a tuned single resonant mode loses
 the photon with probability sin^2(G * DWELL) and nothing else: couplings
 come from a closed form, not a fit. A link splits the photon into its
-link register instead of dwelling. Each sequence is compiled once into
-operators on fixed registers: basis states pushed through them give the
-branch operators, matrices over the environment registers, and a use
-applies them folded into one unitary, then repumps the source.
+link register instead of dwelling. Each recipe is compiled once into a
+`hilbert.Sequence` on fixed registers: basis states run through it give
+the branch operators, matrices over the environment registers, and a use
+runs it on the atoms and the slot's registers, then repumps the source.
 
 The "analytic" backend replaces the environment with c-numbers and
 per-use flag registers; it is the twin of the bath backend on a vacuum
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,10 +56,9 @@ from .dynamics import (
 )
 from .hilbert import (
     LinearOp,
+    Sequence,
     StateVector,
     SubsystemSpec,
-    apply,
-    fold,
     from_labels_first,
     labels_first,
     make_state,
@@ -148,16 +147,17 @@ class CopyChannel:
 
     ``l0`` acts when the source holds |0>, ``l1`` scales the successful
     copy, ``la`` scales the loss branch (source restored to |1>, target
-    left in |0>, environment excited). Analytic channels hold complex
-    scalars and no ``env_labels``; bath channels hold ``2^n x 2^n``
-    matrices on the row-major product basis of their ``n`` environment
-    registers ``env_labels``, cavity first. ``registers`` lists every
-    (label, kind) pair the channel acts on over all its slots, in
-    register order. ``link`` marks an inter-cavity channel, ``duration``
-    is the dwell window (zero for a link), and ``metadata`` carries the
-    per-slot registers under ``"slots"``; a bath channel also carries
-    each slot's environment registers in `_copy_ops` order under
-    ``"supports"`` and its compiled copy's key under ``"recipe"``.
+    left in |0>, environment excited). ``link`` marks an inter-cavity
+    channel, whose copy has no dwell window; a local one dwells for
+    DWELL. ``registers`` lists every (label, kind) pair the channel acts
+    on over all its slots, in register order, and ``slots`` holds each
+    slot's registers: a flag, a link register, or a tuple of bath modes.
+    Analytic channels hold complex scalars and nothing more. Bath
+    channels hold ``2^n x 2^n`` matrices on the row-major product basis
+    of the ``n`` environment registers of one slot; ``supports`` lists
+    each slot's environment registers in `_copy_ops` order, cavity
+    first, ``recipe`` keys its compiled copy, and a local channel keeps
+    its ``bath``.
     """
 
     backend: str
@@ -165,17 +165,17 @@ class CopyChannel:
     l0: complex | np.ndarray
     l1: complex | np.ndarray
     la: complex | np.ndarray
-    env_labels: tuple
     registers: tuple
-    duration: float
-    metadata: dict
+    slots: tuple
+    supports: tuple = ()
+    recipe: tuple | None = None
+    bath: BathSpec | None = None
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        labels = tuple(self.env_labels)
         if self.backend == "analytic":
-            if labels:
+            if self.supports:
                 raise ValueError("analytic channels have no environment registers")
             l0, l1, la = (complex(x) for x in (self.l0, self.l1, self.la))
             if max(abs(l0), abs(l1), abs(la)) > 1.0 + 1e-12:
@@ -185,15 +185,13 @@ class CopyChannel:
             if abs(l1) ** 2 + abs(la) ** 2 > 1.0 + 1e-12:
                 raise ValueError("copy channel would increase the trace")
         else:
-            d = 2 ** len(labels)
+            d = 2 ** len(self.supports[0])
             l0, l1, la = (
                 np.asarray(x, dtype=np.complex128) for x in (self.l0, self.l1, self.la)
             )
             if any(m.shape != (d, d) for m in (l0, l1, la)):
                 raise ValueError(f"environment matrix must be {d}x{d}")
-        if self.duration < 0.0:
-            raise ValueError("dwell duration must be nonnegative")
-        for name, value in (("env_labels", labels), ("l0", l0), ("l1", l1), ("la", la)):
+        for name, value in (("l0", l0), ("l1", l1), ("la", la)):
             object.__setattr__(self, name, value)
 
 
@@ -227,15 +225,14 @@ def _checked_slots(slots) -> tuple:
     return slots
 
 
-def _flag_channel(link, l0, l1, la, duration, slots) -> CopyChannel:
+def _flag_channel(link, l0, l1, la, slots) -> CopyChannel:
     """An analytic channel with one flag register per slot."""
     slots = _checked_slots(slots)
     registers = tuple((s, "bathmode") for s in slots)
-    meta = {"slots": slots}
-    return CopyChannel("analytic", link, l0, l1, la, (), registers, duration, meta)
+    return CopyChannel("analytic", link, l0, l1, la, registers, slots)
 
 
-def _analytic_channel(noise: NoiseConfig, slots, eta, link, duration):
+def _analytic_channel(noise: NoiseConfig, slots, eta, link):
     """c-number copy for one two-pulse transfer losing probability eta.
 
     The target spends one full pulse window parked in the transfer level,
@@ -249,7 +246,7 @@ def _analytic_channel(noise: NoiseConfig, slots, eta, link, duration):
     area = np.cos(np.pi * noise.pulse_area_error / 2.0) ** 2
     copy = area * survive * np.sqrt(1.0 - eta)
     loss = np.sqrt(max(0.0, 1.0 - abs(copy) ** 2))
-    return _flag_channel(link, survive, copy, loss, duration, slots)
+    return _flag_channel(link, survive, copy, loss, slots)
 
 
 _ATOMS = [("_src", "atom"), ("_tgt", "atom")]
@@ -302,22 +299,22 @@ def _copy_ops(recipe) -> list:
     ]
 
 
-def _env_blocks(ops):
+def _env_blocks(seq: Sequence):
     """Column-by-column environment blocks (l0, l1, la) of a copy, read-only.
 
-    Pushes source levels 0 and 1 with an empty target and every
-    environment basis state through ``ops`` and the source repump, one
-    `apply` per step, and reads the amplitudes that stay in each atomic
-    block: (0,0) for survive_0, (1,1) for survive_1, (1,0) for loss.
+    Runs source levels 0 and 1 with an empty target and every
+    environment basis state through ``seq`` on its own registers, step by
+    step, and the source repump, and reads the amplitudes that stay in
+    each atomic block: (0,0) for survive_0, (1,1) for survive_1, (1,0)
+    for loss.
     """
-    spec = ops[0].spec
+    spec = seq.spec
     env_labels = spec.labels[2:]
     d = 2 ** len(env_labels)
 
     def run(src, levels):
         s = make_state(spec, {"_src": src, "_tgt": 0, **levels})
-        for op in ops:
-            s = apply(op, s)
+        s = seq.run(s, spec.labels)
         return optical_pump_r_to_1(s, "_src").tensor().reshape(3, 3, d)
 
     l0, l1, la = (np.zeros((d, d), dtype=complex) for _ in range(3))
@@ -343,18 +340,14 @@ def _env_blocks(ops):
     return l0, l1, la
 
 
-class _Compiled:
-    """A recipe's operators (see `_copy_ops`), environment blocks and, from
-    first use, folded unitary. `_compiled` builds one per recipe, which
-    holds no register name and no p_therm, so such channels share it."""
+class _Compiled(Sequence):
+    """A recipe's `Sequence` (see `_copy_ops`) and its environment blocks.
+    `_compiled` builds one per recipe, which holds no register name and
+    no p_therm, so such channels share it."""
 
     def __init__(self, recipe):
-        self.ops = _copy_ops(recipe)
-        self.blocks = _env_blocks(self.ops)
-
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        return fold(self.ops)
+        super().__init__(_copy_ops(recipe))
+        self.blocks = _env_blocks(self)
 
 
 _compiled = lru_cache(maxsize=8)(_Compiled)
@@ -371,7 +364,7 @@ def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
     bath names them ``{s}m0`` to ``{s}m{n-1}``.
     """
     if noise.backend == "analytic":
-        return _analytic_channel(noise, slots, noise.eta_local, False, DWELL)
+        return _analytic_channel(noise, slots, noise.eta_local, False)
 
     bath = loss_bath(noise)
     n = bath.n_modes
@@ -381,21 +374,14 @@ def make_local_channel(noise: NoiseConfig, cavity, slots) -> CopyChannel:
     )
     recipe = ("local", bath.couplings, bath.detunings, noise.phase_offset, DWELL)
     l0, l1, la = _compiled(recipe).blocks
-    vac_copy = l1[0, 0]
-    if noise.bath is None and abs(vac_copy - np.sqrt(1.0 - noise.eta_local)) > 1e-12:
+    if noise.bath is None and abs(l1[0, 0] - np.sqrt(1.0 - noise.eta_local)) > 1e-12:
         raise AssertionError(
             "tuned bath disagrees with its closed-form survival amplitude"
         )
-    meta = {
-        "slots": slot_modes,
-        "supports": tuple((cavity,) + modes for modes in slot_modes),
-        "recipe": recipe,
-        "bath": bath,
-        "vacuum_survival": complex(vac_copy),
-    }
+    supports = tuple((cavity,) + modes for modes in slot_modes)
     registers = tuple(_local_env(cavity, sum(slot_modes, ())))
     return CopyChannel(
-        "bath", False, l0, l1, la, meta["supports"][0], registers, DWELL, meta
+        "bath", False, l0, l1, la, registers, slot_modes, supports, recipe, bath
     )
 
 
@@ -413,7 +399,7 @@ def make_transmission_channel(noise: NoiseConfig, cavities, slots) -> CopyChanne
         )
     eta = noise.eta_trans
     if noise.backend == "analytic":
-        return _analytic_channel(noise, slots, eta, True, 0.0)
+        return _analytic_channel(noise, slots, eta, True)
 
     slots = _checked_slots(slots)
     source, target = cavities
@@ -425,9 +411,8 @@ def make_transmission_channel(noise: NoiseConfig, cavities, slots) -> CopyChanne
             "link transmission disagrees with its closed-form survival amplitude"
         )
     supports = tuple((source, target, s) for s in slots)
-    meta = {"slots": slots, "supports": supports, "recipe": recipe}
     registers = tuple(cavity_env + [(s, "bathmode") for s in slots])
-    return CopyChannel("bath", True, l0, l1, la, supports[0], registers, 0.0, meta)
+    return CopyChannel("bath", True, l0, l1, la, registers, slots, supports, recipe)
 
 
 def _loss_norm(ch: CopyChannel) -> float:
@@ -483,26 +468,19 @@ def _copy_apply(s: StateVector, ch: CopyChannel, atoms, slot):
 
     Analytic channels burn one flag per slot; bath channels act on that
     slot's fresh mode set or link register, so a photon lost in an
-    earlier window can never be recaptured by a later one. A bath copy is
-    its recipe's folded unitary on the atoms and the slot's registers,
-    then the source repump.
+    earlier window can never be recaptured by a later one. A bath copy
+    runs its recipe's `Sequence` on the atoms and the slot's registers,
+    which checks their kinds, then repumps the source.
     """
     src, tgt = atoms
     analytic = ch.backend == "analytic"
     _assert_channel_domain(s, src, tgt, scalar_map=analytic)
-    m = ch.metadata
-    if not 0 <= slot < len(m["slots"]):
+    if not 0 <= slot < len(ch.slots):
         raise ValueError(f"{ch.backend} channel has no register for slot {slot}")
     if not analytic:
-        support = m["supports"][slot]
-        kinds = dict(ch.registers)
-        for label in support:
-            if s.spec.kind(label) != kinds[label]:
-                raise ValueError(f"{label!r} is not a {kinds[label]}")
-        u = _compiled(m["recipe"]).unitary
-        s = apply(LinearOp(s.spec, (src, tgt) + support, u), s)
+        s = _compiled(ch.recipe).run(s, (src, tgt) + ch.supports[slot])
         return optical_pump_r_to_1(s, src)
-    reg = m["slots"][slot]
+    reg = ch.slots[slot]
     # amplitude surgery: source |0> components scale by the survive
     # c-number whether the target is fresh or parked; source |1>
     # components split into the copy branch and the flagged loss branch
@@ -547,9 +525,7 @@ def analytic_from_bath(ch: CopyChannel, slots) -> CopyChannel:
     lost = float(np.linalg.norm(ch.la[:, 0]))
     if abs(abs(copy) ** 2 + lost**2 - 1.0) > 1e-12:
         raise AssertionError("vacuum columns do not close the trace")
-    return _flag_channel(
-        ch.link, complex(ch.l0[0, 0]), copy, lost, ch.duration, slots
-    )
+    return _flag_channel(ch.link, complex(ch.l0[0, 0]), copy, lost, slots)
 
 
 def _finite_pair(values, name) -> tuple:
@@ -580,8 +556,9 @@ def check_stationarity(ch, durations=None, start_times=None):
         raise TypeError("expected a CopyChannel")
     if ch.link and (durations is not None or start_times is not None):
         raise ValueError("slot timing does not apply to a link channel")
+    dwell = 0.0 if ch.link else DWELL
     d1, d2 = (
-        (ch.duration, ch.duration)
+        (dwell, dwell)
         if durations is None
         else _finite_pair(durations, "durations")
     )
@@ -596,12 +573,11 @@ def check_stationarity(ch, durations=None, start_times=None):
     if ch.backend == "analytic":
         return float(abs(ch.l1 * ch.l0 - ch.l0 * ch.l1))
 
-    m = ch.metadata
     gap_u = np.eye(ch.l0.shape[0])
     n, p = 0, 0.0
     if not ch.link:
-        cavity, modes = ch.env_labels[0], ch.env_labels[1:]
-        bath = m["bath"]
+        cavity, *modes = ch.supports[0]
+        bath = ch.bath
         n, p = bath.n_modes, bath.p_therm
         if gap > 0.0:
             env_spec = SubsystemSpec(_local_env(cavity, modes))
@@ -610,8 +586,8 @@ def check_stationarity(ch, durations=None, start_times=None):
     # (l0, l1) of the first and the second slot
     first, second = (
         (ch.l0, ch.l1)
-        if d == ch.duration
-        else _compiled(m["recipe"][:-1] + (d,)).blocks[:2]
+        if d == dwell
+        else _compiled(ch.recipe[:-1] + (d,)).blocks[:2]
         for d in (d1, d2)
     )
     forward = second[1] @ gap_u @ first[0]

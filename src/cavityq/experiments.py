@@ -224,12 +224,14 @@ class AttemptStatistics:
 
 def attempt_statistics(p_success, max_attempts) -> AttemptStatistics:
     """Exact attempt-count statistics for i.i.d. attempts capped at
-    ``max_attempts``, conditioned on eventual success."""
+    ``max_attempts``, a positive integer, conditioned on eventual success."""
     p = float(p_success)
     if not 0.0 < p <= 1.0:
         raise ValueError("per-attempt success probability must be in (0, 1]")
+    if not _is_int(max_attempts) or max_attempts < 1:
+        raise ValueError("max_attempts must be a positive integer")
     q = 1.0 - p
-    ks = np.arange(1, int(max_attempts) + 1)
+    ks = np.arange(1, max_attempts + 1)
     pk = q ** (ks - 1) * p
     norm = pk.sum()
     mean = float((ks * pk).sum() / norm)

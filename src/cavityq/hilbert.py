@@ -6,10 +6,13 @@ atom (three levels |0>, |1>, |r>), a cavity mode, or a bath mode (both
 hard-core two-level). States are dense complex vectors over the full product
 space. Subnormalized states are first class because the branch algebra keeps
 loss branches around until they are measured away. Operators are dense
-matrices on their support labels. This module alone knows how a state's
-amplitudes are laid out as a tensor; other modules reach the amplitudes of
-chosen labels through `labels_first` and `from_labels_first`, and append
-registers to a state through `extend`.
+matrices on their support labels. A `Sequence` holds operators on
+registers of its own and runs on any state that binds labels of the same
+kinds to them: step by step when those labels are the state's whole
+register, else folded into one unitary. This module alone knows how a
+state's amplitudes are laid out as a tensor; other modules reach the
+amplitudes of chosen labels through `labels_first` and
+`from_labels_first`, and append registers to a state through `extend`.
 
 Tolerance constants for the whole package live here so every module pins the
 same numbers.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -320,6 +323,37 @@ def fold(ops) -> np.ndarray:
     return out
 
 
+class Sequence:
+    """Operators on one spec of their own, first applied first, that run
+    on any state binding labels of the same kinds to that spec's
+    registers. ``fold`` is the sequence as one read-only unitary over the
+    spec's whole space (`fold`), built on first use and then shared."""
+
+    def __init__(self, ops):
+        self.ops = tuple(ops)
+        self.spec = self.ops[0].spec
+
+    @cached_property
+    def fold(self) -> np.ndarray:
+        return fold(self.ops)
+
+    def run(self, state: StateVector, labels) -> StateVector:
+        """The sequence on ``state``, the spec's registers bound in order
+        to ``labels``. When those are the state's whole register, in
+        order, it steps through the operators on a relabelled view and
+        holds no register-sized matrix; otherwise it applies the fold."""
+        labels = tuple(labels)
+        for label, own in zip(labels, self.spec.subsystems):
+            if state.spec.kind(label) != own.kind:
+                raise ValueError(f"{label!r} is not a {own.kind}")
+        if labels != state.spec.labels:
+            return apply(LinearOp(state.spec, labels, self.fold), state)
+        s = StateVector(self.spec, state.amplitudes)
+        for op in self.ops:
+            s = apply(op, s)
+        return StateVector(state.spec, s.amplitudes)
+
+
 def norm_squared(state: StateVector) -> float:
     return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
@@ -421,6 +455,8 @@ def project_subspaces(state: StateVector, label: str, groups, pick):
         for level in group:
             comp[level] = 0.0
     idx = pick(weights)
+    if not 0 <= idx < len(groups):
+        raise ValueError(f"{label!r} has no outcome {idx}")
     if weights[idx] <= 0.0:
         raise ValueError(f"outcome {idx} of {label!r} has zero weight")
     for level in groups[idx]:

@@ -15,6 +15,10 @@ measurement that separates the flags from the protected subspace.
   every input accumulates the same noise exposure, and mid-circuit
   checkpoints catch each loss branch by its stranded transfer level.
 
+On the bath backend a gate application, like a copy, is one
+`hilbert.Sequence` compiled once per recipe and run on the labels a
+circuit binds to its registers.
+
 Branching (measurements and thermal initial conditions) goes through a
 chooser object, so the same protocol code serves Monte Carlo sampling and
 exhaustive branch enumeration. Every run yields one `Outcome`: the
@@ -43,22 +47,18 @@ from .dynamics import (
     BathSpec,
     bath_hamiltonian,
     cached_propagator,
-    evolve,
     optical_pump_r_to_1,
     single_atom_op,
     single_atom_operator,
     thermal_configurations,
-    transfer,
     transfer_op,
 )
 from .hilbert import (
-    LinearOp,
+    Sequence,
     StateVector,
     SubsystemSpec,
-    apply,
     extend,
     fidelity,
-    fold,
     from_labels_first,
     labels_first,
     make_state,
@@ -206,10 +206,8 @@ def _start_levels(channel, chooser, tag) -> dict:
     occupations drawn through the chooser, one draw per slot.
     """
     levels = {label: 0 for label, _ in channel.registers}
-    bath = channel.metadata.get("bath")
-    if bath is not None and bath.p_therm > 0.0:
-        slots = channel.metadata["slots"]
-        levels.update(_thermal_assignments(chooser, bath, slots, tag))
+    if channel.bath is not None and channel.bath.p_therm > 0.0:
+        levels.update(_thermal_assignments(chooser, channel.bath, channel.slots, tag))
     return levels
 
 
@@ -441,35 +439,30 @@ def _shared_register(n_modes):
     return windows, spec
 
 
-def _pulses(identity_signed):
-    """(atom, drive phase) of an application's four transfers."""
-    tail = np.pi if identity_signed else 0.0
-    return (("a1", 0.0), ("a2", 0.0), ("a2", tail), ("a1", tail))
-
-
 @lru_cache(maxsize=8)
-def _folded_application(couplings, detunings, identity_signed) -> np.ndarray:
-    """One bath-backend application as one unitary on its own registers.
+def _application(couplings, detunings, identity_signed) -> Sequence:
+    """One bath-backend application as a `Sequence` on the registers of
+    `_shared_register`: a1, a2, cav and one set of window modes.
 
-    The registers are a1, a2, cav and one set of window modes, laid out as
-    in `_shared_register`. The matrix is the identity pushed through the
-    nine cached operators that `GateCircuit.apply` applies step by step:
-    the two a2 exchanges, four transfer propagators and three dwell
-    propagators (`hilbert.fold`). Built once per (couplings, detunings,
-    identity_signed); the couplings carry the mode count, and the bath's
-    thermal occupation does not enter. Read-only.
+    Nine cached operators: an a2 exchange, four transfers with a dwell
+    propagator in each window between them, and the a2 exchange again.
+    Built once per (couplings, detunings, identity_signed); the couplings
+    carry the mode count, and the bath's thermal occupation does not
+    enter.
     """
     bath = BathSpec(couplings, detunings)
     windows, spec = _shared_register(len(couplings))
     flip = single_atom_operator(spec, "a2", "exchange_1r")
+    tail = np.pi if identity_signed else 0.0
+    pulses = (("a1", 0.0), ("a2", 0.0), ("a2", tail), ("a1", tail))
     ops = [flip]
-    for k, (atom, phase) in enumerate(_pulses(identity_signed)):
+    for k, (atom, phase) in enumerate(pulses):
         if k:
             h = bath_hamiltonian(spec, bath, "cav", windows[k - 1])
             ops.append(cached_propagator(spec, h, DWELL))
         ops.append(transfer_op(spec, atom, "cav", PULSE_RATE, phase))
     ops.append(flip)
-    return fold(ops)
+    return Sequence(ops)
 
 
 class GateCircuit:
@@ -487,6 +480,8 @@ class GateCircuit:
     """
 
     def __init__(self, noise: NoiseConfig, *, applications=1):
+        if applications < 1:
+            raise ValueError("a gate circuit needs at least one application")
         self.noise = noise
         atoms = [("a1", "atom"), ("a2", "atom")]
         if noise.backend == "analytic":
@@ -574,9 +569,10 @@ class GateCircuit:
         flip is a convention, since only the relative phase between the
         two halves survives.
 
-        On a register larger than the application's own registers (a1,
-        a2, cav and the slot's window modes), as thermal applications 1
-        to 3 run, the nine steps act as one `_folded_application` matmul.
+        The application is one `_application` run on a1, a2, cav and the
+        slot's window modes: step by step when they are the whole
+        register, as on a vacuum bath and in thermal application 0, and
+        folded on the larger registers of thermal applications 1 to 3.
         """
         if self.noise.backend == "analytic":
             return _analytic_gate_map(
@@ -587,20 +583,8 @@ class GateCircuit:
                 self.exposures,
                 +1.0 if identity_signed else -1.0,
             )
-        windows = self.windows[slot]
-        support = ("a1", "a2", "cav") + sum(windows, ())
-        if len(s.spec.labels) > len(support):
-            fold = _folded_application(
-                self.bath.couplings, self.bath.detunings, identity_signed
-            )
-            return apply(LinearOp(s.spec, support, fold), s)
-        s = single_atom_op(s, "a2", "exchange_1r")
-        for k, (atom, phase) in enumerate(_pulses(identity_signed)):
-            if k:
-                h = bath_hamiltonian(s.spec, self.bath, "cav", windows[k - 1])
-                s = evolve(s, h, DWELL)
-            s = transfer(s, atom, "cav", PULSE_RATE, phase)
-        return single_atom_op(s, "a2", "exchange_1r")
+        app = _application(self.bath.couplings, self.bath.detunings, identity_signed)
+        return app.run(s, ("a1", "a2", "cav") + sum(self.windows[slot], ()))
 
     def ideal_target(self, amps) -> StateVector:
         amps = np.asarray(amps, dtype=complex)

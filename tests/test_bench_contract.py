@@ -9,6 +9,7 @@ duration.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 # the tracer wraps layers in every cavityq module, the CLI included
@@ -81,9 +82,10 @@ def test_tracer_sees_the_folded_thermal_gate():
         tracer.uninstall()
     counts = tracer.aggregate()
     assert counts["dynamics.propagator"]["calls"] > 0
-    # the fold is built on the shared window labels, which no
-    # step-by-step thermal application uses
+    # every application, stepped or folded, runs operators built on the
+    # shared window labels, never on an application's own window labels
     supports = {key[0] for key in tracer.propagator_keys}
     assert ("cav", "w0m0") in supports
-    assert ("cav", "a0w0m0") in supports
+    own = [l for s in supports for l in s if re.match(r"a\d+w", l)]
+    assert own == []
     assert module.surviving_wrappers() == []

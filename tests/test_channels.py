@@ -158,7 +158,7 @@ class TestLocalChannelBath:
     def test_tuning_matches_closed_form(self):
         for eta in (0.01, 0.05, 0.2):
             ch = bath_local(eta)
-            assert ch.metadata["vacuum_survival"] == pytest.approx(
+            assert ch.l1[0, 0] == pytest.approx(
                 np.sqrt(1 - eta), abs=TOL
             )
 
@@ -558,7 +558,7 @@ def test_local_blocks_shared_across_occupations():
         first, second = (getattr(ch, name) for ch in chans)
         assert first is second
         assert not first.flags.writeable
-    assert [ch.metadata["bath"].p_therm for ch in chans] == [0.0, 0.05]
+    assert [ch.bath.p_therm for ch in chans] == [0.0, 0.05]
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavityq import channels
+from cavityq import channels, hilbert
 from cavityq.channels import (
     DWELL,
     PULSE_RATE,
@@ -157,14 +157,15 @@ def test_one_apply_and_one_repump_per_use(monkeypatch):
         (make_transmission_channel(noise, ("c1", "c2"), ("l0",)), transmission_apply),
     )
     calls = []
-    for name in ("apply", "optical_pump_r_to_1"):
-        original = getattr(channels, name)
+    # a copy's `Sequence.run` calls `apply` in `hilbert`
+    for module, name in ((hilbert, "apply"), (channels, "optical_pump_r_to_1")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
 
-        monkeypatch.setattr(channels, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for ch, apply_copy in cases:
         s = input_state(ch, (0.6, 0.0, 0.8, 0.0), 0, (0, 0))
         calls.clear()

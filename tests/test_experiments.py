@@ -170,6 +170,12 @@ class TestAttemptStatistics:
         with pytest.raises(ValueError, match="probability"):
             attempt_statistics(0.0, 10)
 
+    @pytest.mark.parametrize("max_attempts", [0, -3, 2.7, 2.0, True, "5", None])
+    def test_max_attempts_must_be_a_positive_integer(self, max_attempts):
+        # 0 used to give NaN statistics and 2.7 silently meant 2
+        with pytest.raises(ValueError, match="max_attempts must be a positive"):
+            attempt_statistics(0.5, max_attempts)
+
 
 class TestRunTrials:
     def test_repeatable_and_jobs_independent(self):

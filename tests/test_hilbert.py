@@ -576,6 +576,20 @@ class TestCoarseBranching:
         with pytest.raises(ValueError, match="partition"):
             project_subspaces(s, "a1", [(0,), (2,)], min)
 
+    @pytest.mark.parametrize("idx", [-1, -2, -3, 3, 4])
+    def test_pick_outside_the_groups_is_rejected(self, idx):
+        # a negative index used to pick a group from the end, silently,
+        # and 3 raised a bare IndexError
+        spec = two_atom_spec()
+        s = superpose(
+            [
+                (0.6, make_state(spec, {"a1": 0, "a2": 0})),
+                (0.8, make_state(spec, {"a1": 1, "a2": 0})),
+            ]
+        )
+        with pytest.raises(ValueError, match=f"'a1' has no outcome {idx}"):
+            project_subspaces(s, "a1", ATOM_LEVELS, lambda weights: idx)
+
     def test_groups_as_lists_or_tuples(self):
         spec = two_atom_spec()
         s = superpose(

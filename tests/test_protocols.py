@@ -273,6 +273,14 @@ class TestRawGate:
         with pytest.raises(ValueError, match="chooser"):
             therm.initial_state((1.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("backend", BOTH)
+    @pytest.mark.parametrize("applications", [0, -1])
+    def test_needs_an_application(self, backend, applications):
+        # the bath backend died on an IndexError, the analytic one built
+        # a circuit with no loss flags
+        with pytest.raises(ValueError, match="at least one application"):
+            GateCircuit(NoiseConfig(backend=backend), applications=applications)
+
     def test_thermal_windows_are_per_application(self):
         noise = NoiseConfig(backend="bath", eta_local=0.05, p_therm=0.05)
         circ = GateCircuit(noise, applications=4)

@@ -1,11 +1,11 @@
 """Warm caches change no result.
 
-Hamiltonians, propagators, single-atom, beamsplitter and swap operators,
-and channels are built once per process and shared. The byte-stability
-tests in ``test_cli.py`` start a fresh process per run and so only meet
-cold caches; these run in one process, so each config meets caches that
-other configs filled, and every result is compared with a run made after
-clearing every cache.
+Hamiltonians, propagators, single-atom operators, the compiled copy and
+gate-application sequences, and channels are built once per process and
+shared. The byte-stability tests in ``test_cli.py`` start a fresh
+process per run and so only meet cold caches; these run in one process,
+so each config meets caches that other configs filled, and every result
+is compared with a run made after clearing every cache.
 """
 
 from dataclasses import replace
